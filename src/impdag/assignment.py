@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import IO, Union as TypingUnion
 
 from .deduction import Deduction, FormatError, Node, Rule
-from .formula import Formula, Implication, formula_key
+from .formula import Formula, Implication, formula_key, is_implication
 
 __all__ = [
     "Singleton",
@@ -245,7 +245,7 @@ def _reach_without_discharge(d: Deduction, phi: Formula) -> set[int]:
     while queue:
         n = d.node(queue.popleft())
         for c in n.children:
-            if n.rule is Rule.I and n.formula == Implication(phi, d.node(c).formula):
+            if n.rule is Rule.I and is_implication(n.formula, phi, d.node(c).formula):
                 continue
             if c not in seen:
                 seen.add(c)
@@ -310,9 +310,9 @@ def _discharged(n: Node) -> Formula:
 def _premises(d: Deduction, n: Node) -> tuple[int, int]:
     """Premise ids of an elimination as (minor, major)."""
     y, z = n.children
-    if d.node(z).formula == Implication(d.node(y).formula, n.formula):
+    if is_implication(d.node(z).formula, d.node(y).formula, n.formula):
         return y, z
-    if d.node(y).formula == Implication(d.node(z).formula, n.formula):
+    if is_implication(d.node(y).formula, d.node(z).formula, n.formula):
         return z, y
     raise ValueError(f"elimination node {n.id} has no major premise")
 

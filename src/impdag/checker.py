@@ -48,6 +48,7 @@ from .formula import (
     FormulaSyntaxError,
     Implication,
     formula_key,
+    is_implication,
     parse_prefix,
     to_prefix,
     weight,
@@ -136,8 +137,8 @@ def check_local_correctness(d: Deduction) -> LCReport:
         elif n.rule is Rule.E:
             if len(n.children) == 2:
                 y, z = (d.node(c) for c in n.children)
-                straight = z.formula == Implication(y.formula, n.formula)
-                swapped = y.formula == Implication(z.formula, n.formula)
+                straight = is_implication(z.formula, y.formula, n.formula)
+                swapped = is_implication(y.formula, z.formula, n.formula)
                 if not (straight or swapped):
                     flag("2c", n.id, "no premise is the other premise arrow the conclusion")
         elif n.rule is Rule.S:
@@ -207,7 +208,7 @@ def encode(d: Deduction) -> TupleEncoding:
         children = n.children
         if n.rule is Rule.E:
             y, z = (c.node(j) for j in children)
-            if z.formula != Implication(y.formula, n.formula):
+            if not is_implication(z.formula, y.formula, n.formula):
                 children = (children[1], children[0])
         y1 = children[0] if len(children) > 0 else 0
         y2 = children[1] if len(children) > 1 else 0
@@ -339,7 +340,7 @@ def check_tuples(t: TupleEncoding) -> LCReport:
         elif row.chi == "E":
             if beta1 is None or beta2 is None or gamma is None:
                 flag(8, row.x, "elimination premise codes outside the table")
-            elif beta2 != Implication(beta1, gamma):
+            elif not is_implication(beta2, beta1, gamma):
                 flag(8, row.x, "major premise is not minor arrow conclusion")
 
     ordered = tuple(sorted(violations, key=lambda v: (str(v.condition), v.node or 0)))

@@ -21,12 +21,13 @@ root formula when every thread is closed.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import IO, Iterable, Mapping
 
-from .formula import Formula, FormulaSyntaxError, Implication, parse_infix, to_infix
+from .formula import Formula, FormulaSyntaxError, is_implication, parse_infix, to_infix
 
 __all__ = [
     "Rule",
@@ -43,6 +44,7 @@ __all__ = [
     "is_tree_like",
     "canonical",
     "canonical_map",
+    "renumber",
     "to_dict",
     "from_dict",
     "load_deduction",
@@ -171,8 +173,8 @@ def build(nodes: Iterable[Node] | Mapping[int, Node], root: int) -> Deduction:
             else:
                 y, z = (node_map[c] for c in n.children)
                 # store minor premise first when exactly the swapped order types
-                if z.formula != Implication(y.formula, n.formula) and y.formula == Implication(
-                    z.formula, n.formula
+                if not is_implication(z.formula, y.formula, n.formula) and is_implication(
+                    y.formula, z.formula, n.formula
                 ):
                     n = Node(n.id, n.formula, n.rule, n.height, (z.id, y.id))
         for c in n.children:
@@ -234,7 +236,7 @@ def is_closed(d: Deduction, thread: Thread) -> bool:
         n = d.node(node_id)
         if n.rule is Rule.I:
             child = d.node(n.children[0])
-            if n.formula == Implication(leaf_formula, child.formula):
+            if is_implication(n.formula, leaf_formula, child.formula):
                 return True
     return False
 
@@ -253,22 +255,19 @@ def is_tree_like(d: Deduction) -> bool:
 
 def canonical_map(d: Deduction) -> dict[int, int]:
     """Old id -> new id for the 1..n breadth-first renumbering."""
-    order: list[int] = []
-    seen = {d.root}
-    queue = [d.root]
+    mapping = {d.root: 1}
+    queue = deque((d.root,))
     while queue:
-        x = queue.pop(0)
-        order.append(x)
-        for c in d.node(x).children:
-            if c not in seen:
-                seen.add(c)
+        for c in d.node(queue.popleft()).children:
+            if c not in mapping:
+                mapping[c] = len(mapping) + 1
                 queue.append(c)
-    return {old: i + 1 for i, old in enumerate(order)}
+    return mapping
 
 
-def canonical(d: Deduction) -> Deduction:
-    """Renumber node ids 1..n in breadth-first order from the root."""
-    mapping = canonical_map(d)
+def renumber(d: Deduction, mapping: Mapping[int, int]) -> Deduction:
+    """The same deduction under new node ids; ``mapping`` must be a
+    bijection on the ids of ``d``, such as ``canonical_map(d)``."""
     nodes = {
         mapping[n.id]: Node(
             mapping[n.id], n.formula, n.rule, n.height, tuple(mapping[c] for c in n.children)
@@ -276,6 +275,11 @@ def canonical(d: Deduction) -> Deduction:
         for n in d.nodes.values()
     }
     return Deduction(nodes, mapping[d.root])
+
+
+def canonical(d: Deduction) -> Deduction:
+    """Renumber node ids 1..n in breadth-first order from the root."""
+    return renumber(d, canonical_map(d))
 
 
 def to_dict(d: Deduction) -> dict:
@@ -306,6 +310,7 @@ def from_dict(obj: object) -> Deduction:
     if not isinstance(obj["nodes"], list):
         raise FormatError("'nodes' must be a list")
     nodes = []
+    parsed: dict[str, Formula] = {}  # each distinct formula text is parsed once
     for entry in obj["nodes"]:
         if not isinstance(entry, dict):
             raise FormatError("each node must be an object")
@@ -314,10 +319,13 @@ def from_dict(obj: object) -> Deduction:
             raise FormatError(f"node entry missing {sorted(missing)}")
         if not isinstance(entry["id"], int) or isinstance(entry["id"], bool):
             raise FormatError("node id must be an integer")
-        try:
-            formula = parse_infix(entry["formula"])
-        except (FormulaSyntaxError, TypeError) as exc:
-            raise FormatError(f"node {entry['id']}: bad formula: {exc}") from exc
+        text = entry["formula"]
+        formula = parsed.get(text) if isinstance(text, str) else None
+        if formula is None:
+            try:
+                formula = parsed[text] = parse_infix(text)
+            except (FormulaSyntaxError, TypeError) as exc:
+                raise FormatError(f"node {entry['id']}: bad formula: {exc}") from exc
         try:
             rule = Rule(entry["rule"])
         except ValueError as exc:

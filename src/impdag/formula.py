@@ -10,13 +10,28 @@ other connectives. Two concrete syntaxes are supported:
 
 The weight of a formula counts atom occurrences plus arrows, which is
 exactly the token count of its prefix rendering.
+
+Formulas are hash-consed (Filliâtre and Conchon, "Type-safe modular
+hash-consing", 2006): the constructors ``Atom(name)`` and
+``Implication(antecedent, consequent)`` look the formula up in one
+process-wide table and return the existing object when there is one, so
+equal formulas are the same object and ``==`` is an identity test. Build
+formulas only through these constructors. The table keeps every formula
+built for the life of the process, so code that only asks whether a
+formula is a given implication uses ``is_implication``, which builds
+nothing. Each formula is immutable and carries, computed once from its
+children when it is built, its weight, its prefix rendering and its hash
+(the same value the hash of the equivalent frozen dataclass would have,
+so set and dict iteration orders do not depend on the representation);
+the infix rendering is computed on first use and kept. Parsing,
+rendering, ``repr`` and pickling are iterative, so deep formulas never
+hit the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cache
+from itertools import count
 
 __all__ = [
     "Atom",
@@ -30,21 +45,128 @@ __all__ = [
     "weight",
     "subformulas",
     "formula_key",
+    "is_implication",
 ]
 
+# Atoms are keyed by name, implications by the tags of their two children.
+_TABLE: dict[object, "Formula"] = {}
+_TAGS = count()
 
-@dataclass(frozen=True)
+
+def _frozen(self, *args) -> None:
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _intern(cls: type, key: object, **fields: object) -> "Formula":
+    f = object.__new__(cls)
+    for slot, value in fields.items():
+        object.__setattr__(f, slot, value)
+    object.__setattr__(f, "_tag", next(_TAGS))
+    _TABLE[key] = f
+    return f
+
+
 class Atom:
-    name: str
+    """A named atom; ``Atom(name)`` returns the one atom with that name."""
+
+    __slots__ = ("name", "weight", "prefix", "_hash", "_tag", "_infix")
+    __setattr__ = __delattr__ = _frozen
+
+    def __new__(cls, name: str) -> "Atom":
+        if not isinstance(name, str):
+            raise TypeError("an atom name is a string")
+        f = _TABLE.get(name)
+        if f is None:
+            f = _intern(
+                cls, name, name=name, weight=1, prefix=name, _hash=hash((name,)), _infix=name
+            )
+        return f
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Atom(name={self.name!r})"
+
+    def __reduce__(self):
+        return Atom, (self.name,)
 
 
-@dataclass(frozen=True)
 class Implication:
-    antecedent: "Formula"
-    consequent: "Formula"
+    """``antecedent -> consequent``; the constructor returns the one
+    implication between those two formulas."""
+
+    __slots__ = ("antecedent", "consequent", "weight", "prefix", "_hash", "_tag", "_infix")
+    __setattr__ = __delattr__ = _frozen
+
+    def __new__(cls, antecedent: "Formula", consequent: "Formula") -> "Implication":
+        try:
+            key = (antecedent._tag, consequent._tag)
+        except AttributeError:
+            raise TypeError("Implication needs two formulas") from None
+        f = _TABLE.get(key)
+        if f is None:
+            f = _intern(
+                cls,
+                key,
+                antecedent=antecedent,
+                consequent=consequent,
+                weight=1 + antecedent.weight + consequent.weight,
+                prefix=f"> {antecedent.prefix} {consequent.prefix}",
+                _hash=hash((antecedent, consequent)),
+                _infix=None,
+            )
+        return f
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        parts: list[str] = []
+        stack: list[Formula | str] = [self]
+        while stack:
+            g = stack.pop()
+            if isinstance(g, str):
+                parts.append(g)
+            elif isinstance(g, Atom):
+                parts.append(repr(g))
+            else:
+                parts.append("Implication(antecedent=")
+                stack += (")", g.consequent, ", consequent=", g.antecedent)
+        return "".join(parts)
+
+    def __reduce__(self):
+        # Postfix atom names, None for an arrow: flat, so pickling or
+        # copying a deep formula does not recurse, and the copy is the
+        # interned object.
+        return _from_postfix, (_postfix(self),)
 
 
 Formula = Atom | Implication
+
+
+def _postfix(f: Formula) -> tuple[str | None, ...]:
+    out: list[str | None] = []
+    stack: list[Formula | None] = [f]
+    while stack:
+        g = stack.pop()
+        if g is None or isinstance(g, Atom):
+            out.append(None if g is None else g.name)
+        else:
+            stack += (None, g.consequent, g.antecedent)
+    return tuple(out)
+
+
+def _from_postfix(tokens: tuple[str | None, ...]) -> Formula:
+    stack: list[Formula] = []
+    for tok in tokens:
+        if tok is None:
+            consequent = stack.pop()
+            stack[-1] = Implication(stack[-1], consequent)
+        else:
+            stack.append(Atom(tok))
+    (f,) = stack
+    return f
 
 
 class FormulaSyntaxError(ValueError):
@@ -79,93 +201,123 @@ def _tokenize_infix(text: str) -> list[tuple[str, int]]:
 
 
 def parse_infix(text: str) -> Formula:
-    """Parse the infix syntax; the arrow associates to the right."""
+    """Parse the infix syntax; the arrow associates to the right.
+
+    The grammar is ``implication := unit ['->' implication]`` and
+    ``unit := atom | '(' implication ')'``. The stack holds, innermost
+    last, ``None`` for each open parenthesis and the left operand of each
+    arrow still waiting for its right side.
+    """
     tokens = _tokenize_infix(text)
     if not tokens:
         raise FormulaSyntaxError("empty input", 0)
-    formula, i = _parse_infix_implication(tokens, 0, len(text))
-    if i != len(tokens):
-        raise FormulaSyntaxError(f"unexpected {tokens[i][0]!r}", tokens[i][1])
-    return formula
-
-
-def _parse_infix_implication(
-    tokens: list[tuple[str, int]], i: int, end: int
-) -> tuple[Formula, int]:
-    left, i = _parse_infix_unit(tokens, i, end)
-    if i < len(tokens) and tokens[i][0] == "->":
-        right, i = _parse_infix_implication(tokens, i + 1, end)
-        return Implication(left, right), i
-    return left, i
-
-
-def _parse_infix_unit(
-    tokens: list[tuple[str, int]], i: int, end: int
-) -> tuple[Formula, int]:
-    if i >= len(tokens):
-        raise FormulaSyntaxError("unexpected end of input", end)
-    tok, pos = tokens[i]
-    if tok == "(":
-        inner, i = _parse_infix_implication(tokens, i + 1, end)
-        if i >= len(tokens) or tokens[i][0] != ")":
-            raise FormulaSyntaxError("expected ')'", tokens[i][1] if i < len(tokens) else end)
-        return inner, i + 1
-    if tok in ("->", ")"):
-        raise FormulaSyntaxError(f"unexpected {tok!r}", pos)
-    return Atom(tok), i + 1
+    tokens.append(("", len(text)))  # end of input
+    stack: list[Formula | None] = []
+    i = 0
+    while True:
+        tok, pos = tokens[i]
+        i += 1
+        if tok == "(":
+            stack.append(None)
+            continue
+        if tok in ("->", ")", ""):
+            message = f"unexpected {tok!r}" if tok else "unexpected end of input"
+            raise FormulaSyntaxError(message, pos)
+        value: Formula = Atom(tok)
+        # A unit is complete: start a right side, or close what it ends.
+        while tokens[i][0] != "->":
+            tok, pos = tokens[i]
+            while stack and stack[-1] is not None:
+                value = Implication(stack.pop(), value)
+            if not stack:
+                if tok:
+                    raise FormulaSyntaxError(f"unexpected {tok!r}", pos)
+                return value
+            if tok != ")":
+                raise FormulaSyntaxError("expected ')'", pos)
+            stack.pop()
+            i += 1
+        stack.append(value)
+        i += 1
 
 
 def parse_prefix(text: str) -> Formula:
-    """Parse the prefix syntax: whitespace-separated tokens, ``>`` is the arrow."""
+    """Parse the prefix syntax: whitespace-separated tokens, ``>`` is the arrow.
+
+    The stack holds ``None`` for each arrow still waiting for its left
+    operand and the left operand of each arrow waiting for its right one.
+    """
     tokens = text.split()
     if not tokens:
         raise FormulaSyntaxError("empty input", 0)
-    formula, i = _parse_prefix_at(tokens, 0)
+    stack: list[Formula | None] = []
+    i = 0
+    while True:
+        if i >= len(tokens):
+            raise FormulaSyntaxError("missing operand", i)
+        tok = tokens[i]
+        if tok == ">":
+            stack.append(None)
+            i += 1
+            continue
+        if _ATOM_RE.fullmatch(tok) is None:
+            raise FormulaSyntaxError(f"bad atom {tok!r}", i)
+        value: Formula = Atom(tok)
+        i += 1
+        while stack and stack[-1] is not None:
+            value = Implication(stack.pop(), value)
+        if not stack:
+            break
+        stack[-1] = value
     if i != len(tokens):
         raise FormulaSyntaxError(f"unused token {tokens[i]!r}", i)
-    return formula
-
-
-def _parse_prefix_at(tokens: list[str], i: int) -> tuple[Formula, int]:
-    if i >= len(tokens):
-        raise FormulaSyntaxError("missing operand", i)
-    tok = tokens[i]
-    if tok == ">":
-        left, j = _parse_prefix_at(tokens, i + 1)
-        right, k = _parse_prefix_at(tokens, j)
-        return Implication(left, right), k
-    if _ATOM_RE.fullmatch(tok) is None:
-        raise FormulaSyntaxError(f"bad atom {tok!r}", i)
-    return Atom(tok), i + 1
+    return value
 
 
 def to_infix(f: Formula) -> str:
-    """Render with minimal parentheses; only left arrow operands need them."""
-    if isinstance(f, Atom):
-        return f.name
-    left = to_infix(f.antecedent)
-    if isinstance(f.antecedent, Implication):
-        left = f"({left})"
-    return f"{left} -> {to_infix(f.consequent)}"
+    """Render with minimal parentheses; only left arrow operands need them.
+
+    The text is kept on the formula, and renderings already kept on its
+    subformulas are reused.
+    """
+    text = f._infix
+    if text is None:
+        parts: list[str] = []
+        stack: list[Formula | str] = [f]
+        while stack:
+            g = stack.pop()
+            if isinstance(g, str):
+                parts.append(g)
+            elif g._infix is not None:
+                parts.append(g._infix)
+            elif isinstance(g.antecedent, Implication):
+                stack += (g.consequent, ") -> ", g.antecedent, "(")
+            else:
+                stack += (g.consequent, " -> ", g.antecedent)
+        text = "".join(parts)
+        object.__setattr__(f, "_infix", text)
+    return text
 
 
-@cache
 def to_prefix(f: Formula) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    return f"> {to_prefix(f.antecedent)} {to_prefix(f.consequent)}"
+    return f.prefix
 
 
-@cache
 def weight(f: Formula) -> int:
-    if isinstance(f, Atom):
-        return 1
-    return 1 + weight(f.antecedent) + weight(f.consequent)
+    return f.weight
 
 
 def formula_key(f: Formula) -> tuple[int, str]:
     """Deterministic total order on formulas: weight first, then prefix text."""
-    return (weight(f), to_prefix(f))
+    return (f.weight, f.prefix)
+
+
+def is_implication(f: Formula, antecedent: Formula, consequent: Formula) -> bool:
+    """``f == Implication(antecedent, consequent)``, without building (and
+    so interning) that implication when it does not exist yet."""
+    return (
+        isinstance(f, Implication) and f.antecedent is antecedent and f.consequent is consequent
+    )
 
 
 def subformulas(f: Formula) -> list[Formula]:

@@ -77,9 +77,6 @@ class _Step:
     premises: tuple["_Step", ...] = ()
 
 
-_SEARCH_CACHE: dict[tuple[Context, Formula], _Step | None] = {}
-
-
 def _insert(context: Context, f: Formula) -> Context:
     if f in context:
         return context
@@ -94,12 +91,16 @@ def _remove(context: Context, f: Formula) -> Context:
     return tuple(out)
 
 
-def _search(context: Context, goal: Formula, depth: int, budget: dict) -> _Step | None:
+def _search(
+    context: Context, goal: Formula, depth: int, budget: dict, memo: dict
+) -> _Step | None:
+    """Derivation of the sequent, or None; ``memo`` holds the sequents this
+    search has already settled, whatever depth they were reached at."""
     if depth <= 0:
         raise ResourceLimitError("depth", budget["max_depth"])
     key = (context, goal)
-    if key in _SEARCH_CACHE:
-        return _SEARCH_CACHE[key]
+    if key in memo:
+        return memo[key]
     budget["nodes"] -= 1
     if budget["nodes"] < 0:
         raise ResourceLimitError("nodes", budget["max_nodes"])
@@ -108,7 +109,9 @@ def _search(context: Context, goal: Formula, depth: int, budget: dict) -> _Step 
     if goal in context:
         result = _Step("axiom", goal)
     elif isinstance(goal, Implication):
-        premise = _search(_insert(context, goal.antecedent), goal.consequent, depth - 1, budget)
+        premise = _search(
+            _insert(context, goal.antecedent), goal.consequent, depth - 1, budget, memo
+        )
         if premise is not None:
             result = _Step("intro", goal, premises=(premise,))
     else:
@@ -124,7 +127,7 @@ def _search(context: Context, goal: Formula, depth: int, budget: dict) -> _Step 
         )
         if chain is not None:
             reduced = _insert(_remove(context, chain), chain.consequent)
-            premise = _search(reduced, goal, depth - 1, budget)
+            premise = _search(reduced, goal, depth - 1, budget, memo)
             if premise is not None:
                 result = _Step("chain", goal, principal=chain, premises=(premise,))
         else:
@@ -133,14 +136,14 @@ def _search(context: Context, goal: Formula, depth: int, budget: dict) -> _Step 
                     continue
                 rest = _remove(context, h)
                 flattened = Implication(h.antecedent.consequent, h.consequent)
-                minor = _search(_insert(rest, flattened), h.antecedent, depth - 1, budget)
+                minor = _search(_insert(rest, flattened), h.antecedent, depth - 1, budget, memo)
                 if minor is None:
                     continue
-                major = _search(_insert(rest, h.consequent), goal, depth - 1, budget)
+                major = _search(_insert(rest, h.consequent), goal, depth - 1, budget, memo)
                 if major is not None:
                     result = _Step("split", goal, principal=h, premises=(minor, major))
                     break
-    _SEARCH_CACHE[key] = result
+    memo[key] = result
     return result
 
 
@@ -228,12 +231,13 @@ def prove(
 ) -> Deduction | None:
     """Search for a tree-like deduction of ``f``; None when invalid.
 
-    The result is deterministic for a given formula and is certified
-    before being returned: tree shape, local correctness, root formula,
+    The result is deterministic for a given formula and budget, since
+    each call searches with a memo of its own, and is certified before
+    being returned: tree shape, local correctness, root formula,
     and the assignment criterion are all re-checked.
     """
     budget = {"nodes": max_nodes, "max_nodes": max_nodes, "max_depth": max_depth}
-    step = _search((), f, max_depth, budget)
+    step = _search((), f, max_depth, budget, {})
     if step is None:
         return None
     d = _number(_translate(step), budget)

@@ -32,11 +32,13 @@ from .deduction import (
     Rule,
     Thread,
     build,
+    canonical,
     canonical_map,
     is_tree_like,
+    renumber,
     threads,
 )
-from .formula import formula_key
+from .formula import Formula, formula_key
 
 __all__ = [
     "DEFAULT_NODE_CAP",
@@ -105,21 +107,7 @@ def level(t: Deduction) -> Deduction:
         for offset, (x, below) in enumerate(zip(chain, links[1:])):
             nodes[x] = Node(x, leaf.formula, Rule.R, leaf.height + offset, (below,))
         nodes[leaf.id] = Node(leaf.id, leaf.formula, Rule.LEAF, bottom, ())
-    out = build(list(nodes.values()), t.root)
-    mapping = canonical_map(out)
-    return build(
-        [
-            Node(
-                mapping[n.id],
-                n.formula,
-                n.rule,
-                n.height,
-                tuple(mapping[c] for c in n.children),
-            )
-            for n in out.nodes.values()
-        ],
-        mapping[out.root],
-    )
+    return canonical(build(list(nodes.values()), t.root))
 
 
 def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
@@ -146,9 +134,11 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
         if n.rule is Rule.LEAF and n.height != bottom:
             raise ValueError(f"compress() expects a leveled tree: leaf {n.id} is short")
 
-    by_level: dict[int, list[Node]] = {}
-    for n in t.nodes.values():
-        by_level.setdefault(n.height, []).append(n)
+    # Per level, the nodes of each formula in id order.
+    by_level: dict[int, dict[Formula, list[Node]]] = {}
+    for i in sorted(t.nodes):
+        n = t.nodes[i]
+        by_level.setdefault(n.height, {}).setdefault(n.formula, []).append(n)
 
     nodes: list[Node] = []
     next_id = 1
@@ -162,9 +152,9 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
     rep_of: dict[int, int] = {}  # original node -> merge-layer id
     disp_of: dict[int, int] = {}  # original non-leaf node -> dispatch-layer id
     for h in range(bottom, -1, -1):
-        layer = sorted(by_level[h], key=lambda n: (formula_key(n.formula), n.id))
-        for formula in sorted({n.formula for n in layer}, key=formula_key):
-            members = [n for n in layer if n.formula == formula]
+        layer = by_level[h]
+        for formula in sorted(layer, key=formula_key):
+            members = layer[formula]
             if h == bottom:
                 rep = fresh()
                 nodes.append(Node(rep, formula, Rule.LEAF, 2 * h, ()))
@@ -200,19 +190,7 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
 
     out = build(nodes, rep_of[t.root])
     mapping = canonical_map(out)
-    out = build(
-        [
-            Node(
-                mapping[n.id],
-                n.formula,
-                n.rule,
-                n.height,
-                tuple(mapping[c] for c in n.children),
-            )
-            for n in out.nodes.values()
-        ],
-        mapping[out.root],
-    )
+    out = renumber(out, mapping)
 
     tree_threads = threads(t, cap=len(t.nodes) + 1)
     assert not isinstance(tree_threads, Overflow)  # trees have one thread per leaf

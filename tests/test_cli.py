@@ -32,6 +32,13 @@ def run(argv, capsys):
     return code, out, err
 
 
+def run_process(argv):
+    """Run the command line in a fresh interpreter."""
+    return subprocess.run(
+        [sys.executable, "-m", "impdag", *argv], capture_output=True, text=True, timeout=120
+    )
+
+
 def dag_file(tmp_path, d, name="d.json"):
     path = tmp_path / name
     save_deduction(d, str(path))
@@ -196,6 +203,19 @@ class TestProveOracle:
         code, out, _ = run(["oracle", "((a -> b) -> a) -> a"], capsys)
         assert code == 1
         assert out.strip() == "invalid"
+
+    def test_prove_deeply_parenthesized_formula(self):
+        formula = "(" * 1200 + "a" + ")" * 1200 + " -> a"
+        done = run_process(["prove", formula])
+        assert done.returncode == 0
+        assert prov(parse_dag(done.stdout))
+        assert "Traceback" not in done.stderr
+
+    def test_oracle_long_chain_hits_the_weight_bound(self):
+        done = run_process(["oracle", " -> ".join(["a"] * 1500)])
+        assert done.returncode == 3
+        assert "exceeds bound" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestCompressUnfold:

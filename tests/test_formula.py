@@ -1,12 +1,17 @@
+import copy
+import pickle
 import random
+from dataclasses import make_dataclass
 
 import pytest
 
+from impdag import formula as formula_module
 from impdag.formula import (
     Atom,
     FormulaSyntaxError,
     Implication,
     formula_key,
+    is_implication,
     parse_infix,
     parse_prefix,
     subformulas,
@@ -117,3 +122,80 @@ def test_subformulas_random_properties():
             if isinstance(g, Implication):
                 assert g.antecedent in subs
                 assert g.consequent in subs
+
+
+# Frozen dataclasses with the field layout formulas had before they were
+# hash-consed; hashes and reprs must not change.
+_OldAtom = make_dataclass("Atom", [("name", str)], frozen=True)
+_OldImplication = make_dataclass(
+    "Implication", [("antecedent", object), ("consequent", object)], frozen=True
+)
+
+
+def _old(f):
+    if isinstance(f, Atom):
+        return _OldAtom(f.name)
+    return _OldImplication(_old(f.antecedent), _old(f.consequent))
+
+
+def _chain(n):
+    """a -> a -> ... -> a with n atoms."""
+    return " -> ".join(["a"] * n)
+
+
+def test_equal_formulas_are_one_object():
+    assert Implication(A, B) is Implication(A, B)
+    assert Atom("a") is A
+    assert parse_infix("(a -> b) -> g") is Implication(Implication(A, B), G)
+    assert parse_prefix("> > a b g") is parse_infix("(a -> b) -> g")
+
+
+def test_hash_and_repr_match_the_dataclass_layout():
+    rng = random.Random(31)
+    for _ in range(300):
+        f = random_formula(rng, max_weight=15)
+        assert hash(f) == hash(_old(f))
+        assert repr(f) == repr(_old(f))
+
+
+def test_pickle_and_copy_return_the_interned_object():
+    rng = random.Random(37)
+    formulas = [random_formula(rng, max_weight=15) for _ in range(50)]
+    formulas.append(parse_infix(_chain(1500)))
+    for f in formulas:
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(formulas)) == formulas
+
+
+def test_formulas_are_immutable():
+    f = Implication(A, B)
+    with pytest.raises(AttributeError):
+        f.antecedent = B
+    with pytest.raises(AttributeError):
+        A.name = "b"
+    with pytest.raises(TypeError):
+        Implication(A, "b")
+
+
+def test_deep_formulas_need_no_recursion():
+    chain = parse_infix(_chain(1500))
+    assert weight(chain) == 2999
+    assert to_infix(chain) == _chain(1500)
+    assert parse_prefix(to_prefix(chain)) is chain
+    assert repr(chain).count("Implication(") == 1499
+    nested = parse_infix("(" * 1200 + "a" + ")" * 1200 + " -> a")
+    assert nested is Implication(A, A)
+    left = parse_infix("(" * 1000 + "a" + " -> a)" * 1000)
+    assert weight(left) == 2001
+    assert parse_infix(to_infix(left)) is left
+
+
+def test_is_implication_interns_nothing():
+    x, y = Atom("probe_x"), Atom("probe_y")
+    size = len(formula_module._TABLE)
+    assert not is_implication(x, x, y)
+    assert not is_implication(Implication(y, x), x, y)
+    assert len(formula_module._TABLE) == size + 1
+    assert is_implication(Implication(x, y), x, y)

@@ -83,6 +83,18 @@ class TestProve:
             prove(parse_infix("x1 -> x2 -> x3 -> x1"), max_depth=2)
         assert info.value.limit == "depth"
 
+    def test_outcome_does_not_depend_on_earlier_calls(self):
+        def budgeted():
+            try:
+                return to_dict(prove(family(3), max_depth=3))
+            except ResourceLimitError as exc:
+                return exc.limit
+
+        cold = budgeted()
+        assert cold == "depth"
+        assert prove(family(3)) is not None
+        assert budgeted() == cold
+
 
 class TestOracle:
     @pytest.mark.parametrize(

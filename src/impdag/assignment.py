@@ -26,26 +26,19 @@ any formula sets.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from typing import IO, Union as TypingUnion
 
-from .deduction import Deduction, FormatError, Node, Rule
+from .deduction import Deduction, FormatError, Node, Rule, read_json, write_json
 from .formula import Formula, Implication, formula_key, is_implication
 
 __all__ = [
-    "Singleton",
-    "UnionTerm",
-    "Minus",
-    "Sep",
-    "AssignmentTerm",
     "SepValue",
     "Value",
     "Choice",
     "ChoiceError",
     "SeparationPresentError",
-    "build_terms",
     "evaluate_symbolic",
     "evaluate",
     "prov",
@@ -58,32 +51,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Singleton:
-    formula: Formula
-
-
-@dataclass(frozen=True)
-class UnionTerm:
-    left: int  # node id of the minor premise
-    right: int  # node id of the major premise
-
-
-@dataclass(frozen=True)
-class Minus:
-    inner: int  # node id of the premise
-    removed: Formula
-
-
-@dataclass(frozen=True)
-class Sep:
-    node: int  # the separation node itself
-    branches: tuple[int, ...]
-
-
-AssignmentTerm = TypingUnion[Singleton, UnionTerm, Minus, Sep]
-
-
 class SeparationPresentError(ValueError):
     """Raised by the deterministic checks when the dag has separation
     nodes; those need `search_choice`."""
@@ -94,29 +61,6 @@ class ChoiceError(ValueError):
 
 
 Choice = dict[tuple[int, int], int]
-
-
-def build_terms(d: Deduction) -> dict[int, AssignmentTerm]:
-    """One term per node, child references by node id.
-
-    A repetition shares its child's entry outright, so resolving references
-    through the store may skip repetition ids. Assumes local correctness;
-    an introduction without an implication formula is reported as a
-    ValueError.
-    """
-    store: dict[int, AssignmentTerm] = {}
-    for n in _by_descending_height(d):
-        if n.rule is Rule.LEAF:
-            store[n.id] = Singleton(n.formula)
-        elif n.rule is Rule.R:
-            store[n.id] = store[n.children[0]]
-        elif n.rule is Rule.I:
-            store[n.id] = Minus(n.children[0], _discharged(n))
-        elif n.rule is Rule.E:
-            store[n.id] = UnionTerm(*_premises(d, n))
-        else:
-            store[n.id] = Sep(n.id, n.children)
-    return store
 
 
 SetValue = frozenset  # of Formula
@@ -328,15 +272,7 @@ def _reject_separation(d: Deduction) -> None:
 def load_choice(source: str | IO[str]) -> Choice:
     """Read a branch commitment: a JSON list of objects with integer
     fields parent, sep, index."""
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
+    obj = read_json(source)
     if not isinstance(obj, list):
         raise FormatError("choice document must be a list")
     choice: Choice = {}
@@ -360,9 +296,4 @@ def save_choice(choice: Choice, target: str | IO[str]) -> None:
         {"parent": parent, "sep": sep, "index": index}
         for (parent, sep), index in sorted(choice.items())
     ]
-    text = json.dumps(entries, indent=2) + "\n"
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        target.write(text)
+    write_json(entries, target)

@@ -47,7 +47,9 @@ from .deduction import (
     is_tree_like,
     load_deduction,
     proves_by_threads,
+    read_text,
     save_deduction,
+    write_text,
 )
 from .formula import Formula, FormulaSyntaxError, parse_infix, to_infix, weight
 from .fst import (
@@ -102,6 +104,18 @@ def _load_dag(path: str) -> Deduction:
     return _load(path, load_deduction, "deduction")
 
 
+def _load_correct_dag(path: str) -> Deduction:
+    """A deduction for the deciders, which assume local correctness; any
+    violation is malformed input, reported by its first condition."""
+    d = _load_dag(path)
+    violations = check_local_correctness(d).violations
+    if violations:
+        v = violations[0]
+        where = f"condition {v.condition} at node {v.node}"
+        raise CliError(MALFORMED, f"not locally correct: {where}: {v.message}")
+    return d
+
+
 def _write(writer, out: str | None, label: str) -> None:
     if out is None or out == "-":
         writer(sys.stdout)
@@ -113,27 +127,9 @@ def _write(writer, out: str | None, label: str) -> None:
         _note(f"wrote {label} to {out}")
 
 
-def _read_text(path: str, what: str) -> str:
-    try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise CliError(MALFORMED, f"cannot read {what} from {path}: {exc}") from exc
-
-
-def _write_text(text: str, target) -> None:
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        target.write(text)
-
-
 def _parse_formula(text: str) -> Formula:
     if text == "-":
-        text = sys.stdin.read()
+        text = _load(text, read_text, "formula")
     try:
         return parse_infix(text)
     except FormulaSyntaxError as exc:
@@ -187,7 +183,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_prov(args) -> int:
-    d = _load_dag(args.dag)
+    d = _load_correct_dag(args.dag)
     if _has_separation(d):
         print("not proving")
         _note("separation nodes present; commit branches with 'search' or 'cleanse'")
@@ -207,7 +203,7 @@ def _cmd_prov(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    d = _load_dag(args.dag)
+    d = _load_correct_dag(args.dag)
     choice = search_choice(d)
     if choice is None:
         _note("no branch commitment makes this deduction prove")
@@ -275,7 +271,7 @@ def _cmd_unfold(args) -> int:
 
 
 def _cmd_cleanse(args) -> int:
-    d = _load_dag(args.dag)
+    d = _load_correct_dag(args.dag)
     if d.node(d.root).rule is Rule.S:
         raise CliError(MALFORMED, "the root is a separation node; nothing discharges it")
     if args.fst:
@@ -323,14 +319,14 @@ def _cmd_encode(args) -> int:
             _print_violations(exc.report.violations, sys.stderr)
         _note(f"cannot encode: {exc}")
         return NEGATIVE
-    _write(lambda out: _write_text(render_tuples(t), out), args.out, "tuple table")
+    _write(lambda out: write_text(render_tuples(t), out), args.out, "tuple table")
     if t.over_budget:
         _note(f"note: {len(t.formula_table)} formulas exceed the budget a = {t.a}")
     return OK
 
 
 def _cmd_decode(args) -> int:
-    text = _read_text(args.tuples, "tuple table")
+    text = _load(args.tuples, read_text, "tuple table")
     try:
         t = parse_tuples(text)
     except TupleFormatError as exc:
@@ -349,7 +345,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_fst_check(args) -> int:
-    d = _load_dag(args.dag)
+    d = _load_correct_dag(args.dag)
     collection = _load(args.threads, load_threads, "thread collection")
     try:
         report = check_fst(d, collection)

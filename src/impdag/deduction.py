@@ -49,6 +49,10 @@ __all__ = [
     "from_dict",
     "load_deduction",
     "save_deduction",
+    "read_text",
+    "read_json",
+    "write_text",
+    "write_json",
     "DEFAULT_THREAD_CAP",
 ]
 
@@ -97,7 +101,7 @@ class StructureError(ValueError):
 
 
 class FormatError(ValueError):
-    """A document that does not follow the on-disk deduction format."""
+    """An artifact file that is not UTF-8, not JSON, or not in its format."""
 
 
 @dataclass(frozen=True)
@@ -116,10 +120,6 @@ class Deduction:
             for c in n.children:
                 acc[c].append(n.id)
         return {i: tuple(sorted(ps)) for i, ps in acc.items()}
-
-    @cached_property
-    def leaves(self) -> tuple[int, ...]:
-        return tuple(sorted(i for i, n in self.nodes.items() if n.rule is Rule.LEAF))
 
     def height(self) -> int:
         return max(n.height for n in self.nodes.values())
@@ -343,22 +343,50 @@ def from_dict(obj: object) -> Deduction:
 
 
 def load_deduction(source: str | IO[str]) -> Deduction:
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
-    return from_dict(obj)
+    return from_dict(read_json(source))
 
 
 def save_deduction(d: Deduction, target: str | IO[str]) -> None:
-    text = json.dumps(to_dict(d), indent=2) + "\n"
+    write_json(to_dict(d), target)
+
+
+# Every artifact file (deduction, tuple table, choice, threads) is read and
+# written by the four functions below: a path is opened as UTF-8, anything
+# else is taken to be an open text stream.
+
+
+def read_text(source: str | IO[str]) -> str:
+    """The whole text of ``source``; bytes that are not UTF-8 raise
+    FormatError."""
+    try:
+        if isinstance(source, str):
+            with open(source, encoding="utf-8") as fh:
+                return fh.read()
+        return source.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc}") from exc
+
+
+def read_json(source: str | IO[str]) -> object:
+    """The JSON document in ``source``; text that does not decode raises
+    FormatError."""
+    text = read_text(source)
+    # ValueError also covers integers longer than int() accepts, and
+    # RecursionError arrays nested too deep for the decoder.
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"not valid JSON: {exc}") from exc
+
+
+def write_text(text: str, target: str | IO[str]) -> None:
     if isinstance(target, str):
         with open(target, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         target.write(text)
+
+
+def write_json(doc: object, target: str | IO[str]) -> None:
+    """Write ``doc`` as JSON indented by two spaces, with a final newline."""
+    write_text(json.dumps(doc, indent=2) + "\n", target)

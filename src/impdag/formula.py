@@ -43,7 +43,6 @@ __all__ = [
     "to_infix",
     "to_prefix",
     "weight",
-    "subformulas",
     "formula_key",
     "is_implication",
 ]
@@ -318,18 +317,3 @@ def is_implication(f: Formula, antecedent: Formula, consequent: Formula) -> bool
     return (
         isinstance(f, Implication) and f.antecedent is antecedent and f.consequent is consequent
     )
-
-
-def subformulas(f: Formula) -> list[Formula]:
-    """All distinct subformulas of ``f``, ordered by ``formula_key``."""
-    seen: set[Formula] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in seen:
-            continue
-        seen.add(g)
-        if isinstance(g, Implication):
-            stack.append(g.antecedent)
-            stack.append(g.consequent)
-    return sorted(seen, key=formula_key)

@@ -11,22 +11,12 @@ which commits one branch per separation edge and hands the result to
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from typing import IO, Iterator
 
 from .assignment import Choice, prov
-from .deduction import (
-    DEFAULT_THREAD_CAP,
-    Deduction,
-    FormatError,
-    Overflow,
-    Rule,
-    Thread,
-    is_closed,
-    threads,
-)
+from .deduction import Deduction, FormatError, Rule, Thread, is_closed, read_json, write_json
 from .transform import s_eliminate
 
 __all__ = [
@@ -34,7 +24,6 @@ __all__ = [
     "FstError",
     "FstReport",
     "ThreadSet",
-    "all_threads_fst",
     "check_fst",
     "cleanse_via_fst",
     "load_threads",
@@ -137,14 +126,6 @@ def check_fst(d: Deduction, collection: ThreadSet) -> FstReport:
     )
 
 
-def all_threads_fst(d: Deduction, cap: int = DEFAULT_THREAD_CAP) -> ThreadSet | Overflow:
-    """Package every thread of ``d`` as the canonical candidate set."""
-    enumerated = threads(d, cap)
-    if isinstance(enumerated, Overflow):
-        return enumerated
-    return ThreadSet(tuple(enumerated))
-
-
 def cleanse_via_fst(d: Deduction, collection: ThreadSet) -> tuple[Choice, Deduction]:
     """Commit separation branches along ``collection`` and eliminate them.
 
@@ -236,15 +217,7 @@ def cleanse_via_fst(d: Deduction, collection: ThreadSet) -> tuple[Choice, Deduct
 
 def load_threads(source: str | IO[str]) -> ThreadSet:
     """Read a thread collection: a JSON list of node-id lists."""
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
+    obj = read_json(source)
     if not isinstance(obj, list):
         raise FormatError("thread document must be a list")
     collected: list[Thread] = []
@@ -264,10 +237,4 @@ def load_threads(source: str | IO[str]) -> ThreadSet:
 
 def save_threads(collection: ThreadSet, target: str | IO[str]) -> None:
     """Write a thread collection in the format load_threads reads."""
-    doc = [list(th) for th in collection.threads]
-    text = json.dumps(doc, indent=2) + "\n"
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        target.write(text)
+    write_json([list(th) for th in collection.threads], target)

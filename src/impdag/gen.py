@@ -20,7 +20,6 @@ from .transform import compress, level
 
 __all__ = [
     "random_formula",
-    "formula_pool",
     "enumerate_formulas",
     "provable_pool",
     "random_local_dag",
@@ -39,15 +38,6 @@ def random_formula(rng: random.Random, max_weight: int = 7, atoms: Iterable[str]
     left = random_formula(rng, (max_weight - 1) // 2, names)
     right = random_formula(rng, max_weight - 1 - weight(left), names)
     return Implication(left, right)
-
-
-def formula_pool(rng: random.Random, size: int, max_weight: int = 7,
-                 atoms: Iterable[str] = DEFAULT_ATOMS) -> list[Formula]:
-    """A deduplicated pool of small formulas; always contains the bare atoms."""
-    pool: dict[Formula, None] = {Atom(n): None for n in atoms}
-    while len(pool) < size:
-        pool[random_formula(rng, max_weight, atoms)] = None
-    return list(pool)
 
 
 def enumerate_formulas(max_weight: int, atoms: Iterable[str]) -> list[Formula]:

@@ -329,14 +329,6 @@ class ProofStats:
     distinct_formulas: int
     max_formula_weight: int
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "height": self.height,
-            "nodes": self.nodes,
-            "distinct_formulas": self.distinct_formulas,
-            "max_formula_weight": self.max_formula_weight,
-        }
-
 
 def proof_stats(d: Deduction) -> ProofStats:
     formulas = {n.formula for n in d.nodes.values()}

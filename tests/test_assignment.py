@@ -6,13 +6,8 @@ import pytest
 
 from impdag.assignment import (
     ChoiceError,
-    Minus,
-    Sep,
     SepValue,
     SeparationPresentError,
-    Singleton,
-    UnionTerm,
-    build_terms,
     evaluate,
     evaluate_symbolic,
     load_choice,
@@ -74,28 +69,6 @@ def separation_root():
         ],
         1,
     )
-
-
-class TestBuildTerms:
-    def test_identity_proof(self):
-        store = build_terms(identity_proof())
-        assert store[1] == Minus(2, parse_infix("a"))
-        assert store[2] == Singleton(parse_infix("a"))
-
-    def test_repetition_shares_child_entry(self):
-        store = build_terms(leaf_under_repetition())
-        assert store[1] == store[2] == Singleton(parse_infix("a"))
-
-    def test_sep_proof_term_shape(self):
-        store = build_terms(sep_proof_dag())
-        assert store[1] == Minus(2, parse_infix("b"))
-        assert store[2] == Minus(3, parse_infix("g"))
-        assert store[3] == Sep(3, (4, 5))
-        assert store[5] == UnionTerm(7, 8)
-
-    def test_one_entry_per_node(self):
-        d = sep_stuck_dag()
-        assert set(build_terms(d)) == set(d.nodes)
 
 
 class TestSymbolicEvaluation:

@@ -12,7 +12,8 @@ from impdag.assignment import prov
 from impdag.checker import parse_tuples
 from impdag.cli import main
 from impdag.deduction import Rule, build, canonical, load_deduction, save_deduction
-from impdag.fst import all_threads_fst, load_threads, save_threads
+from impdag.deduction import threads as dag_threads
+from impdag.fst import ThreadSet, load_threads, save_threads
 from impdag.gen import corrupt_encoding
 from impdag.checker import encode, render_tuples
 
@@ -317,7 +318,7 @@ class TestCleanse:
     def test_fst_mode(self, tmp_path, capsys):
         d = sep_all_closed_dag()
         threads = tmp_path / "threads.json"
-        save_threads(all_threads_fst(d), str(threads))
+        save_threads(ThreadSet(tuple(dag_threads(d))), str(threads))
         code, out, _ = run(
             ["cleanse", dag_file(tmp_path, d), "--fst", str(threads)], capsys
         )
@@ -328,7 +329,7 @@ class TestCleanse:
 
     def test_fst_mode_rejects_non_fst(self, tmp_path, capsys):
         d = sep_all_closed_dag()
-        first = all_threads_fst(d).threads[:1]
+        first = dag_threads(d)[:1]
         threads = tmp_path / "threads.json"
         threads.write_text(json.dumps([list(t) for t in first]))
         code, _, err = run(
@@ -385,7 +386,7 @@ class TestFstCheck:
     def test_fundamental(self, tmp_path, capsys):
         d = sep_all_closed_dag()
         threads = tmp_path / "threads.json"
-        save_threads(all_threads_fst(d), str(threads))
+        save_threads(ThreadSet(tuple(dag_threads(d))), str(threads))
         code, out, err = run(
             ["fst-check", dag_file(tmp_path, d), str(threads)], capsys
         )
@@ -395,7 +396,7 @@ class TestFstCheck:
 
     def test_not_fundamental(self, tmp_path, capsys):
         d = sep_all_closed_dag()
-        first = all_threads_fst(d).threads[:1]
+        first = dag_threads(d)[:1]
         threads = tmp_path / "threads.json"
         threads.write_text(json.dumps([list(t) for t in first]))
         code, out, err = run(

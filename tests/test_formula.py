@@ -10,11 +10,9 @@ from impdag.formula import (
     Atom,
     FormulaSyntaxError,
     Implication,
-    formula_key,
     is_implication,
     parse_infix,
     parse_prefix,
-    subformulas,
     to_infix,
     to_prefix,
     weight,
@@ -100,28 +98,6 @@ def test_round_trip_infix_and_prefix():
         f = random_formula(rng, max_weight=15)
         assert parse_infix(to_infix(f)) == f
         assert parse_prefix(to_prefix(f)) == f
-
-
-def test_subformulas_ordered_and_bounded():
-    f = parse_infix("(a -> b) -> a -> b")
-    subs = subformulas(f)
-    assert f in subs
-    assert subs == sorted(set(subs), key=formula_key)
-    assert len(subs) <= weight(f)
-    assert subs[0] == A  # lightest first
-
-
-def test_subformulas_random_properties():
-    rng = random.Random(23)
-    for _ in range(100):
-        f = random_formula(rng, max_weight=13)
-        subs = subformulas(f)
-        assert len(subs) == len(set(subs))
-        assert len(subs) <= weight(f)
-        for g in subs:
-            if isinstance(g, Implication):
-                assert g.antecedent in subs
-                assert g.consequent in subs
 
 
 # Frozen dataclasses with the field layout formulas had before they were

@@ -5,12 +5,11 @@ import io
 import pytest
 
 from impdag.assignment import prov
-from impdag.deduction import FormatError, Overflow, Rule, build, threads
+from impdag.deduction import FormatError, Rule, build, threads
 from impdag.fst import (
     CleansingError,
     FstError,
     ThreadSet,
-    all_threads_fst,
     check_fst,
     cleanse_via_fst,
     load_threads,
@@ -61,9 +60,7 @@ def shared_discharge_dag():
 
 
 def full_set(d):
-    collection = all_threads_fst(d)
-    assert isinstance(collection, ThreadSet)
-    return collection
+    return ThreadSet(tuple(threads(d)))
 
 
 class TestValidation:
@@ -137,6 +134,8 @@ class TestCheckFst:
 
 
 class TestAllThreadsFst:
+    """The set of every thread, the candidate set most tests here use."""
+
     def test_enumerates_in_stored_order(self):
         d = sep_proof_dag()
         assert full_set(d).threads == (
@@ -144,9 +143,6 @@ class TestAllThreadsFst:
             (1, 2, 3, 5, 7),
             (1, 2, 3, 5, 8),
         )
-
-    def test_overflow_propagates(self):
-        assert all_threads_fst(sep_proof_dag(), cap=2) == Overflow(2)
 
 
 class TestCleanse:

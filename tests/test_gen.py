@@ -12,7 +12,6 @@ from impdag.formula import Atom, parse_infix, weight
 from impdag.gen import (
     corrupt_encoding,
     enumerate_formulas,
-    formula_pool,
     provable_pool,
     random_formula,
     random_local_dag,
@@ -27,13 +26,6 @@ class TestFormulaGenerators:
         rng = random.Random(11)
         for _ in range(200):
             assert weight(random_formula(rng, max_weight=7)) <= 7
-
-    def test_formula_pool_size_and_atoms(self):
-        pool = formula_pool(random.Random(3), 25)
-        assert len(pool) == 25
-        assert len(set(pool)) == 25
-        for name in ("a", "b", "c"):
-            assert Atom(name) in pool
 
     def test_enumeration_is_exhaustive_and_ordered(self):
         forms = enumerate_formulas(5, ("a", "b"))

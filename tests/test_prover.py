@@ -173,4 +173,3 @@ class TestProofStats:
         assert stats.nodes == 3
         assert stats.distinct_formulas == 3
         assert stats.max_formula_weight == 5
-        assert stats.as_dict()["nodes"] == 3

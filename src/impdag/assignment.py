@@ -227,18 +227,18 @@ def search_choice(d: Deduction) -> Choice | None:
 
 
 def _separation_edges(d: Deduction) -> list[tuple[int, int]]:
-    edges: list[tuple[int, int]] = []
+    edges: dict[tuple[int, int], None] = {}
     seen = {d.root}
     queue = deque((d.root,))
     while queue:
         n = d.node(queue.popleft())
         for c in n.children:
-            if d.node(c).rule is Rule.S and (n.id, c) not in edges:
-                edges.append((n.id, c))
+            if d.node(c).rule is Rule.S:
+                edges[n.id, c] = None
             if c not in seen:
                 seen.add(c)
                 queue.append(c)
-    return edges
+    return list(edges)
 
 
 def _by_descending_height(d: Deduction):

@@ -13,6 +13,7 @@ provable, a failed check, a cleansing that found no consistent pairing),
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -158,10 +159,6 @@ def _print_violations(violations, stream) -> None:
         print(f"condition {v.condition}{where}: {v.message}", file=stream)
 
 
-def _has_separation(d: Deduction) -> bool:
-    return any(n.rule is Rule.S for n in d.nodes.values())
-
-
 def _cmd_check(args) -> int:
     d = _load_dag(args.dag)
     if args.tuples:
@@ -184,7 +181,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_prov(args) -> int:
     d = _load_correct_dag(args.dag)
-    if _has_separation(d):
+    if any(n.rule is Rule.S for n in d.nodes.values()):
         print("not proving")
         _note("separation nodes present; commit branches with 'search' or 'cleanse'")
         return NEGATIVE
@@ -390,6 +387,7 @@ def _cmd_bench(args) -> int:
     return OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="impdag",

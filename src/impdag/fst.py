@@ -7,12 +7,19 @@ for the other premise without leaving the set).  Such a set certifies
 provability of a dag with separation nodes and drives ``cleanse_via_fst``,
 which commits one branch per separation edge and hands the result to
 ``transform.s_eliminate``.
+
+``check_fst`` and ``cleanse_via_fst`` read one prefix index, built in the
+walk that validates the threads: each distinct prefix gets an integer id
+keyed by (id of the prefix one node shorter, next node).  Ids, not tuple
+slices: a slice copies and hashes its whole prefix, quadratic in thread
+length; an id costs one dict lookup per node.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import IO, Iterator
 
 from .assignment import Choice, prov
@@ -40,12 +47,6 @@ class ThreadSet:
     """
 
     threads: tuple[Thread, ...]
-
-    def __iter__(self) -> Iterator[Thread]:
-        return iter(self.threads)
-
-    def __len__(self) -> int:
-        return len(self.threads)
 
 
 @dataclass(frozen=True)
@@ -79,23 +80,59 @@ class CleansingError(ValueError):
     """Cleansing could not commit a consistent branch for every edge."""
 
 
-def _validate(d: Deduction, collection: ThreadSet) -> None:
-    seen: set[Thread] = set()
-    for th in collection.threads:
-        if th in seen:
-            raise ValueError(f"duplicate thread {th}")
-        seen.add(th)
+def _survey(
+    d: Deduction, collection: ThreadSet
+) -> tuple[FstReport, dict[tuple[int, int], int], list[list[int]]]:
+    """Validate and index ``collection`` in one walk, then evaluate it.
+
+    Returns the report, the prefix ids keyed by (id of the prefix one node
+    shorter, next node), and each thread's prefix ids, the root's id 0 first.
+    """
+    listed = collection.threads
+    step: dict[tuple[int, int], int] = {}
+    paths: list[list[int]] = []
+    whole: set[int] = set()
+    for th in listed:
         if not th or th[0] != d.root:
             raise ValueError(f"thread {th} does not start at the root")
-        for parent, child in zip(th, th[1:]):
-            if child not in d.node(parent).children:
-                raise ValueError(f"thread {th} uses a missing edge {parent}->{child}")
-        if d.node(th[-1]).children:
+        pid, path, parent = 0, [0], d.nodes[th[0]]
+        for child in islice(th, 1, None):
+            if child not in parent.children:
+                raise ValueError(f"thread {th} uses a missing edge {parent.id}->{child}")
+            pid = step.setdefault((pid, child), len(step) + 1)
+            path.append(pid)
+            parent = d.nodes[child]
+        if parent.children:
             raise ValueError(f"thread {th} stops before reaching a leaf")
+        # Maximal threads that share their last prefix id are equal.
+        if pid in whole:
+            raise ValueError(f"duplicate thread {th}")
+        whole.add(pid)
+        paths.append(path)
+
+    uncovered = sorted(d.nodes.keys() - {th[0] for th in listed} - {n for _, n in step})
+    open_threads = [th for th in listed if not is_closed(d, th)]
+    unpaired = [
+        (th, node_id)
+        for th, path in zip(listed, paths)
+        for node_id, _, key in _eliminations(d, th, path)
+        if key not in step
+    ]
+    witnesses = (*uncovered, *open_threads, *unpaired)
+    report = FstReport(not uncovered, not open_threads, not unpaired, witnesses)
+    return report, step, paths
 
 
-def _other_premise(d: Deduction, node_id: int, taken: int) -> int:
-    return next(c for c in d.node(node_id).children if c != taken)
+def _eliminations(
+    d: Deduction, th: Thread, path: list[int]
+) -> Iterator[tuple[int, int, tuple[int, int]]]:
+    """Each E node on ``th``, its premise off ``th``, and the key of the prefix taking it."""
+    for i in range(len(th) - 1):
+        node = d.nodes[th[i]]
+        if node.rule is Rule.E:
+            minor, major = node.children
+            other = major if minor == th[i + 1] else minor
+            yield th[i], other, (path[i], other)
 
 
 def check_fst(d: Deduction, collection: ThreadSet) -> FstReport:
@@ -104,65 +141,34 @@ def check_fst(d: Deduction, collection: ThreadSet) -> FstReport:
     Raises ValueError if some element is not a maximal thread of ``d``;
     the three conditions themselves are report-valued, never raised.
     """
-    _validate(d, collection)
-    listed = collection.threads
-    covered = {node_id for th in listed for node_id in th}
-    uncovered = sorted(set(d.nodes) - covered)
-    open_threads = [th for th in listed if not is_closed(d, th)]
-    prefixes = {th[:k] for th in listed for k in range(1, len(th) + 1)}
-    unpaired: list[tuple[Thread, int]] = []
-    for th in listed:
-        for i in range(len(th) - 1):
-            if d.node(th[i]).rule is not Rule.E:
-                continue
-            w = _other_premise(d, th[i], th[i + 1])
-            if th[: i + 1] + (w,) not in prefixes:
-                unpaired.append((th, th[i]))
-    return FstReport(
-        dense=not uncovered,
-        all_closed=not open_threads,
-        e_preserving=not unpaired,
-        witnesses=(*uncovered, *open_threads, *unpaired),
-    )
+    return _survey(d, collection)[0]
 
 
 def cleanse_via_fst(d: Deduction, collection: ThreadSet) -> tuple[Choice, Deduction]:
     """Commit separation branches along ``collection`` and eliminate them.
 
-    Starting from the first thread, each retained thread is walked from
-    the conclusion upward; every elimination node on it must have its
-    other premise continued by some thread of the set with the same
-    prefix (the preservation condition), and the first such thread whose
-    branch crossings agree with the commitments made so far is retained
-    in turn.  Edges never crossed by a retained thread default to branch
-    1; they cannot survive into the eliminated dag.
+    Starting from the first thread, each retained thread is walked from the
+    conclusion upward, and the other premise of each elimination node on it
+    is continued by the first thread with that prefix whose branch crossings
+    agree with the commitments so far; that thread is retained in turn.  Edges
+    no retained thread crosses default to branch 1 and do not survive elimination.
 
     Returns the full commitment and the separation-free result.  Raises
     FstError when the set fails a fundamental-set condition and
-    CleansingError when no pairing thread agrees with the branches
-    already committed.
+    CleansingError when no pairing thread agrees with the commitments.
     """
-    report = check_fst(d, collection)
+    report, step, paths = _survey(d, collection)
     if not report.is_fst:
-        failed = [
-            name
-            for name, ok in (
-                ("density", report.dense),
-                ("closure", report.all_closed),
-                ("elimination preservation", report.e_preserving),
-            )
-            if not ok
-        ]
-        raise FstError(
-            "thread collection is not fundamental: fails " + ", ".join(failed),
-            report,
-        )
+        names = ("density", "closure", "elimination preservation")
+        flags = (report.dense, report.all_closed, report.e_preserving)
+        failed = ", ".join(name for name, ok in zip(names, flags) if not ok)
+        raise FstError(f"thread collection is not fundamental: fails {failed}", report)
 
     listed = collection.threads
-    by_prefix: dict[Thread, list[int]] = {}
-    for pos, th in enumerate(listed):
-        for k in range(2, len(th) + 1):
-            by_prefix.setdefault(th[:k], []).append(pos)
+    through: defaultdict[int, list[int]] = defaultdict(list)
+    for pos, path in enumerate(paths):
+        for pid in path:
+            through[pid].append(pos)
 
     def commitments(th: Thread) -> Iterator[tuple[tuple[int, int], int]]:
         for i in range(1, len(th) - 1):
@@ -175,29 +181,25 @@ def cleanse_via_fst(d: Deduction, collection: ThreadSet) -> tuple[Choice, Deduct
     def consistent(th: Thread) -> bool:
         return all(choice.get(edge, branch) == branch for edge, branch in commitments(th))
 
-    retained: dict[int, None] = {}
+    reached: set[int] = set()
     queue: deque[int] = deque()
 
     def retain(pos: int) -> None:
-        retained[pos] = None
-        for edge, branch in commitments(listed[pos]):
-            choice[edge] = branch
+        reached.update(paths[pos])
+        choice.update(commitments(listed[pos]))
         queue.append(pos)
 
     retain(0)
     while queue:
-        th = listed[queue.popleft()]
-        for i in range(len(th) - 1):
-            if d.node(th[i]).rule is not Rule.E:
+        pos = queue.popleft()
+        for node_id, other, key in _eliminations(d, listed[pos], paths[pos]):
+            pid = step[key]
+            if pid in reached:
                 continue
-            w = _other_premise(d, th[i], th[i + 1])
-            candidates = by_prefix.get(th[: i + 1] + (w,), [])
-            if any(pos in retained for pos in candidates):
-                continue
-            pick = next((pos for pos in candidates if consistent(listed[pos])), None)
+            pick = next((p for p in through[pid] if consistent(listed[p])), None)
             if pick is None:
                 raise CleansingError(
-                    f"no continuation through premise {w} of node {th[i]} "
+                    f"no continuation through premise {other} of node {node_id} "
                     "agrees with the branches already committed"
                 )
             retain(pick)
@@ -220,18 +222,16 @@ def load_threads(source: str | IO[str]) -> ThreadSet:
     obj = read_json(source)
     if not isinstance(obj, list):
         raise FormatError("thread document must be a list")
-    collected: list[Thread] = []
-    seen: set[Thread] = set()
+    collected: dict[Thread, None] = {}
     for i, entry in enumerate(obj):
         if not isinstance(entry, list) or not entry:
             raise FormatError(f"entry {i}: expected a non-empty list of node ids")
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in entry):
             raise FormatError(f"entry {i}: node ids must be integers")
         th = tuple(entry)
-        if th in seen:
+        if th in collected:
             raise FormatError(f"entry {i}: duplicate thread")
-        seen.add(th)
-        collected.append(th)
+        collected[th] = None
     return ThreadSet(tuple(collected))
 
 

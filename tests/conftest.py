@@ -1,7 +1,12 @@
-"""Shared builders for hand-made deductions used across the test suite."""
+"""Shared builders for hand-made deductions used across the test suite,
+and a seeded generator of compressed dags with separation nodes."""
 
-from impdag.deduction import Deduction, Node, Rule, build
-from impdag.formula import parse_infix
+import random
+
+from impdag.deduction import Deduction, Node, Rule, Thread, build
+from impdag.formula import Implication, parse_infix
+from impdag.gen import random_local_dag
+from impdag.transform import compress, level, unfold
 
 
 def mk(node_id: int, formula: str, rule: str, height: int, children=()) -> Node:
@@ -92,3 +97,34 @@ def diamond_dag() -> Deduction:
         ],
         root=1,
     )
+
+
+def random_separation_dag(seed: int) -> tuple[Deduction, tuple[Thread, ...]] | None:
+    """Compress a random leveled tree under an introduction chain that
+    discharges every leaf formula, or all but one of them half the time.
+
+    Returns the dag and the image of the tree's threads, or None when the
+    root of the dag is a separation node.
+    """
+    rng = random.Random(seed)
+    tree = level(unfold(random_local_dag(rng, max_nodes=60, share=0)))
+    hypotheses = list(
+        dict.fromkeys(n.formula for n in tree.nodes.values() if n.rule is Rule.LEAF)
+    )
+    rng.shuffle(hypotheses)
+    if rng.random() < 0.5:
+        hypotheses.pop()
+    k = len(hypotheses)
+    nodes = [
+        Node(n.id + k, n.formula, n.rule, n.height + k, tuple(c + k for c in n.children))
+        for n in tree.nodes.values()
+    ]
+    below, formula = tree.root + k, tree.node(tree.root).formula
+    for depth in reversed(range(k)):
+        formula = Implication(hypotheses[depth], formula)
+        nodes.append(Node(depth + 1, formula, Rule.I, depth, (below,)))
+        below = depth + 1
+    dag, image = compress(build(nodes, below))
+    if dag.node(dag.root).rule is Rule.S:
+        return None
+    return dag, image

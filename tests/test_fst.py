@@ -196,7 +196,7 @@ class TestCleanse:
         d = sep_all_closed_dag()
         collection = full_set(d)
         choice, _ = cleanse_via_fst(d, collection)
-        covered = {node_id for th in collection for node_id in th}
+        covered = {node_id for th in collection.threads for node_id in th}
         for (parent, sep), index in choice.items():
             assert d.node(sep).children[index - 1] in covered
 

@@ -16,6 +16,9 @@ height 0 and every child is exactly one level above its parent. Rule names:
 A thread is a maximal root-to-leaf chain. A thread is closed when some I
 node on it discharges the formula of the thread's leaf; the dag proves its
 root formula when every thread is closed.
+
+Trees are numbered 1..n breadth first by ``lay_out`` as they are grown;
+an existing dag is renumbered the same way by ``canonical``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import IO, Iterable, Mapping
+from typing import IO, Callable, Iterable, Mapping
 
 from .formula import Formula, FormulaSyntaxError, is_implication, parse_infix, to_infix
 
@@ -42,6 +45,7 @@ __all__ = [
     "is_closed",
     "proves_by_threads",
     "is_tree_like",
+    "lay_out",
     "canonical",
     "canonical_map",
     "renumber",
@@ -251,6 +255,23 @@ def proves_by_threads(d: Deduction, cap: int = DEFAULT_THREAD_CAP) -> bool | Ove
 def is_tree_like(d: Deduction) -> bool:
     """True when every node except the root has exactly one parent."""
     return all(len(ps) == 1 for i, ps in d.parents.items() if i != d.root)
+
+
+def lay_out(root: object, expand: Callable, cap: int | None = None) -> Deduction | Overflow:
+    """The tree grown from ``root``, with ids 1..n breadth first and
+    children in stored order. ``expand(item)`` gives the item's formula,
+    rule, height and child items; every child item becomes a node of its
+    own. Returns Overflow(cap) when the tree would exceed ``cap`` nodes."""
+    items = [root]
+    nodes: list[Node] = []
+    for node_id, item in enumerate(items, 1):  # items grows as the walk goes
+        formula, rule, height, children = expand(item)
+        first = len(items) + 1
+        items.extend(children)
+        if cap is not None and len(items) > cap:
+            return Overflow(cap)
+        nodes.append(Node(node_id, formula, rule, height, tuple(range(first, len(items) + 1))))
+    return build(nodes, 1)
 
 
 def canonical_map(d: Deduction) -> dict[int, int]:

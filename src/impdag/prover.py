@@ -21,7 +21,7 @@ from typing import Iterator
 
 from .assignment import prov
 from .checker import check_local_correctness
-from .deduction import Deduction, Node, Rule, build, is_tree_like
+from .deduction import Deduction, Overflow, Rule, is_tree_like, lay_out
 from .formula import Atom, Formula, Implication, formula_key, weight
 
 __all__ = [
@@ -203,24 +203,9 @@ def _translate(step: _Step) -> _Tree:
     return _replace(_translate(step.premises[1]), b, bridge)
 
 
-def _number(tree: _Tree, budget: dict) -> Deduction:
-    """Lay the nested tree out as a deduction, breadth first."""
-    nodes: list[Node] = []
-    queue: list[tuple[_Tree, int, int]] = [(tree, 1, 0)]
-    next_id = 2
-    index = 0
-    while index < len(queue):
-        obj, node_id, height = queue[index]
-        index += 1
-        child_ids = []
-        for child in obj.children:
-            child_ids.append(next_id)
-            queue.append((child, next_id, height + 1))
-            next_id += 1
-            if next_id > budget["max_nodes"]:
-                raise ResourceLimitError("nodes", budget["max_nodes"])
-        nodes.append(Node(node_id, obj.formula, obj.rule, height, tuple(child_ids)))
-    return build(nodes, 1)
+def _expand(item: tuple[_Tree, int]):
+    tree, height = item
+    return tree.formula, tree.rule, height, ((c, height + 1) for c in tree.children)
 
 
 def prove(
@@ -240,7 +225,9 @@ def prove(
     step = _search((), f, max_depth, budget, {})
     if step is None:
         return None
-    d = _number(_translate(step), budget)
+    d = lay_out((_translate(step), 0), _expand, max_nodes)
+    if isinstance(d, Overflow):
+        raise ResourceLimitError("nodes", max_nodes)
     root = d.node(d.root)
     if not (
         is_tree_like(d)

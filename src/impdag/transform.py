@@ -32,11 +32,10 @@ from .deduction import (
     Rule,
     Thread,
     build,
-    canonical,
     canonical_map,
     is_tree_like,
+    lay_out,
     renumber,
-    threads,
 )
 from .formula import Formula, formula_key
 
@@ -59,21 +58,12 @@ def unfold(d: Deduction, cap: int = DEFAULT_NODE_CAP) -> Deduction | Overflow:
     blow up exponentially, so construction stops with Overflow once it
     would exceed `cap`.
     """
-    nodes: list[Node] = []
-    queue = deque(((d.root, 1),))
-    next_id = 2
-    while queue:
-        old_id, new_id = queue.popleft()
+
+    def expand(old_id: int):
         old = d.node(old_id)
-        child_ids = []
-        for c in old.children:
-            if next_id > cap:
-                return Overflow(cap)
-            child_ids.append(next_id)
-            queue.append((c, next_id))
-            next_id += 1
-        nodes.append(Node(new_id, old.formula, old.rule, old.height, tuple(child_ids)))
-    return build(nodes, 1)
+        return old.formula, old.rule, old.height, old.children
+
+    return lay_out(d.root, expand, cap)
 
 
 def level(t: Deduction) -> Deduction:
@@ -83,31 +73,17 @@ def level(t: Deduction) -> Deduction:
     if not is_tree_like(t):
         raise ValueError("level() expects a tree-like deduction")
     bottom = max(n.height for n in t.nodes.values())
-    short = [
-        n for n in t.nodes.values() if n.rule is Rule.LEAF and n.height < bottom
-    ]
-    if not short:
+    if all(n.height == bottom for n in t.nodes.values() if n.rule is Rule.LEAF):
         return t
 
-    parent_of = {c: n.id for n in t.nodes.values() for c in n.children}
-    nodes = {n.id: n for n in t.nodes.values()}
-    next_id = max(nodes) + 1
-    for leaf in sorted(short, key=lambda n: n.id):
-        chain = list(range(next_id, next_id + bottom - leaf.height))
-        next_id += len(chain)
-        p = nodes[parent_of[leaf.id]]
-        nodes[p.id] = Node(
-            p.id,
-            p.formula,
-            p.rule,
-            p.height,
-            tuple(chain[0] if c == leaf.id else c for c in p.children),
-        )
-        links = chain + [leaf.id]
-        for offset, (x, below) in enumerate(zip(chain, links[1:])):
-            nodes[x] = Node(x, leaf.formula, Rule.R, leaf.height + offset, (below,))
-        nodes[leaf.id] = Node(leaf.id, leaf.formula, Rule.LEAF, bottom, ())
-    return canonical(build(list(nodes.values()), t.root))
+    def expand(item: tuple[int, int]):
+        node_id, height = item
+        n = t.node(node_id)
+        if n.rule is Rule.LEAF and height < bottom:
+            return n.formula, Rule.R, height, ((node_id, height + 1),)
+        return n.formula, n.rule, height, ((c, height + 1) for c in n.children)
+
+    return lay_out((t.root, 0), expand)
 
 
 def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
@@ -192,17 +168,21 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
     mapping = canonical_map(out)
     out = renumber(out, mapping)
 
-    tree_threads = threads(t, cap=len(t.nodes) + 1)
-    assert not isinstance(tree_threads, Overflow)  # trees have one thread per leaf
-    images = []
-    for thread in tree_threads:
-        image = []
-        for x in thread[:-1]:
-            image.append(mapping[rep_of[x]])
-            image.append(mapping[disp_of[x]])
-        image.append(mapping[rep_of[thread[-1]]])
-        images.append(tuple(image))
-    return out, tuple(dict.fromkeys(images))
+    # Depth first in stored child order, as threads() lists them. path is the
+    # image of the thread so far; a node at height h keeps its first 2h entries.
+    images: dict[Thread, None] = {}
+    path: list[int] = []
+    stack = [t.root]
+    while stack:
+        n = t.node(stack.pop())
+        del path[2 * n.height :]
+        path.append(mapping[rep_of[n.id]])
+        if n.children:
+            path.append(mapping[disp_of[n.id]])
+            stack.extend(reversed(n.children))
+        else:
+            images[tuple(path)] = None
+    return out, tuple(images)
 
 
 def s_eliminate(d: Deduction, choice: Choice) -> Deduction:

@@ -108,9 +108,8 @@ def random_separation_dag(seed: int) -> tuple[Deduction, tuple[Thread, ...]] | N
     """
     rng = random.Random(seed)
     tree = level(unfold(random_local_dag(rng, max_nodes=60, share=0)))
-    hypotheses = list(
-        dict.fromkeys(n.formula for n in tree.nodes.values() if n.rule is Rule.LEAF)
-    )
+    by_id = (tree.node(i) for i in sorted(tree.nodes))
+    hypotheses = list(dict.fromkeys(n.formula for n in by_id if n.rule is Rule.LEAF))
     rng.shuffle(hypotheses)
     if rng.random() < 0.5:
         hypotheses.pop()

@@ -4,7 +4,9 @@ The digests were taken from the JSON documents and tuple tables that the
 pipeline wrote before formulas were hash-consed, and every later version
 must write the same bytes. For each input the digest covers, in order, the
 saved proof tree, its leveled form and its compressed dag, each followed by
-its rendered tuple table.
+its rendered tuple table. The image digests cover the thread image that
+``compress`` returns, saved as a thread file; they were taken before the
+image was built by one walk over the tree instead of from ``threads()``.
 """
 
 import hashlib
@@ -15,6 +17,7 @@ import pytest
 from impdag.checker import encode, render_tuples
 from impdag.deduction import save_deduction
 from impdag.formula import parse_infix
+from impdag.fst import ThreadSet, save_threads
 from impdag.prover import family, prove
 from impdag.transform import compress, level
 
@@ -37,6 +40,25 @@ DIGESTS = {
     "family(3)": "9841acd28394f176392b790771b44109d61e3d59fd5fcc255faf43d4584ee785",
     "family(4)": "7aaff11f6b555ffc5f2970c4c718181b91c66d0543a8394402034daa9b1e695b",
     "family(5)": "eecbb9ce691e8e1c571543149a5e2afcc1f6a08efffbb78206b7cc26d9fedce8",
+}
+
+IMAGE_DIGESTS = {
+    "a -> a": "47d6b8f50d5b36d06b502619e1e91bcdff23e5b53aebc1d7f7feff4482233632",
+    "a -> b -> a": "a19b58ef5c8f611e9d4f8f0260e37785e1c2bddba5ec344a1933e80a1a7865b6",
+    "(a -> b -> g) -> (a -> b) -> a -> g": "41f3c8a4198c5c48b66d13dbb9fa0dd95b104ecf8a077c9028966be167e16ee7",
+    "(a -> b) -> (g -> a) -> g -> b": "06162111a57f0d61826ee5a399cc6382a19911cd512bf1502a044aa6d4adddb0",
+    "(b -> g) -> (a -> b) -> a -> g": "06162111a57f0d61826ee5a399cc6382a19911cd512bf1502a044aa6d4adddb0",
+    "(a -> b -> g) -> b -> a -> g": "d9a0a4757d3b7b44ff1b23149f735f195f87e65e7869e3377560f045e2c92369",
+    "(a -> a -> b) -> a -> b": "a19adaf30b1ee2cb9a2f14bddd06387a91463ae768e179ab65cf2988a2c19655",
+    "a -> (a -> b) -> b": "ad2632c3f61122fd160f98115e3df471112fd5531ede908b5cf17de14dc1b0f2",
+    "((a -> a) -> b) -> b": "c88c4a156256d8db7382f3aad3eb8175bc84ce88b29ed0cedec3f28419c31aae",
+    "((a -> b) -> b) -> (b -> a) -> b -> b": "9fab4542037c011cdf4688c089f24dc349ef9ec73330f8af3c5ebb049191650e",
+    "((a -> b) -> g) -> b -> g": "9c427f00df76d15e1e0ee1118cbb1861bd8f146caa942a9a9d31ef6f3f131237",
+    "family(1)": "2164501dcc506aedda3d2a69c70eeca7af4b0bb995d1cda6a4e4a0983a1901b8",
+    "family(2)": "c023c4160db4025022b93eded115b9257507f5b39ddc3ba195ddfb2492e3f16d",
+    "family(3)": "849b9de9663c3bcf0fb24aee1b873451dc9cf0ab2fe6e9aa03adf3b250adb796",
+    "family(4)": "d8db9c2e634215c38910784f678b39e7c17df06fb2bf56c619fc97d25e1d7e29",
+    "family(5)": "6a0d397ea349734caeae8f88efd55a9ebfc4cf4faea80affc3a39424819c0356",
 }
 
 
@@ -62,3 +84,11 @@ def test_pipeline_artifacts_are_byte_identical(name):
         digest.update(buffer.getvalue().encode())
         digest.update(render_tuples(encode(d)).encode())
     assert digest.hexdigest() == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", list(DIGESTS))
+def test_thread_images_are_byte_identical(name):
+    _, image = compress(level(prove(_formula(name))))
+    buffer = io.StringIO()
+    save_threads(ThreadSet(image), buffer)
+    assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == IMAGE_DIGESTS[name]

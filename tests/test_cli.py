@@ -2,12 +2,14 @@
 
 import io
 import json
+import os
 import random
 import subprocess
 import sys
 
 import pytest
 
+import impdag
 from impdag.assignment import prov
 from impdag.checker import parse_tuples
 from impdag.cli import main
@@ -33,10 +35,21 @@ def run(argv, capsys):
     return code, out, err
 
 
+# Child interpreters import the same impdag as this one.
+CHILD_ENV = dict(os.environ)
+CHILD_ENV["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [os.path.dirname(os.path.dirname(impdag.__file__)), os.getenv("PYTHONPATH")])
+)
+
+
 def run_process(argv):
     """Run the command line in a fresh interpreter."""
     return subprocess.run(
-        [sys.executable, "-m", "impdag", *argv], capture_output=True, text=True, timeout=120
+        [sys.executable, "-m", "impdag", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=CHILD_ENV,
     )
 
 
@@ -437,7 +450,7 @@ class TestSubprocessPipeline:
             f" | {sys.executable} -m impdag check -"
         )
         done = subprocess.run(
-            ["sh", "-c", script], capture_output=True, text=True, timeout=120
+            ["sh", "-c", script], capture_output=True, text=True, timeout=120, env=CHILD_ENV
         )
         assert done.returncode == 0
         assert "locally correct" in done.stderr

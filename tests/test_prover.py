@@ -78,6 +78,14 @@ class TestProve:
             prove(parse_infix(S_COMBINATOR), max_nodes=3)
         assert info.value.limit == "nodes"
 
+    @pytest.mark.parametrize("text", ["a -> a", "a -> b -> a", S_COMBINATOR])
+    def test_node_budget_admits_a_proof_of_exactly_that_size(self, text):
+        size = len(certified(text).nodes)
+        assert to_dict(prove(parse_infix(text), max_nodes=size)) == to_dict(certified(text))
+        with pytest.raises(ResourceLimitError) as info:
+            prove(parse_infix(text), max_nodes=size - 1)
+        assert info.value.limit == "nodes"
+
     def test_depth_budget(self):
         with pytest.raises(ResourceLimitError) as info:
             prove(parse_infix("x1 -> x2 -> x3 -> x1"), max_depth=2)

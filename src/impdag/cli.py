@@ -68,7 +68,6 @@ from .prover import (
     ResourceLimitError,
     family,
     oracle_valid,
-    proof_stats,
     prove,
 )
 from .transform import DEFAULT_NODE_CAP, compress, level, s_eliminate, unfold
@@ -221,8 +220,7 @@ def _cmd_prove(args) -> int:
         _note(f"not provable: {to_infix(f)}")
         return NEGATIVE
     _write(lambda t: save_deduction(d, t), args.out, "proof")
-    stats = proof_stats(d)
-    _note(f"proof with {stats.nodes} node(s), height {stats.height}")
+    _note(f"proof with {len(d.nodes)} node(s), height {d.height()}")
     return OK
 
 
@@ -242,15 +240,14 @@ def _cmd_compress(args) -> int:
     if not is_tree_like(d):
         raise CliError(MALFORMED, "compress needs a tree-like deduction; 'unfold' produces one")
     try:
-        leveled = level(d)
-        dag, image = compress(leveled)
+        dag, image = compress(d)
     except ValueError as exc:
         raise CliError(MALFORMED, str(exc)) from exc
     _write(lambda t: save_deduction(dag, t), args.out, "compressed dag")
     if args.threads_out:
         _write(lambda t: save_threads(ThreadSet(image), t), args.threads_out, "image threads")
     _note(
-        f"{len(leveled.nodes)} leveled node(s) down to {len(dag.nodes)};"
+        f"{len(d.nodes)} tree node(s) down to {len(dag.nodes)};"
         f" image keeps {len(image)} thread(s)"
     )
     return OK
@@ -433,7 +430,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"give up beyond this goal weight (default {DEFAULT_ORACLE_WEIGHT})")
 
     p = add("compress", _cmd_compress, "Merge equal-formula nodes of a tree, level by level.")
-    p.add_argument("tree", help="tree-like deduction file, or - for stdin; leveled automatically")
+    p.add_argument("tree",
+                   help="tree-like deduction file, or - for stdin; short branches are padded")
     p.add_argument("--out", metavar="FILE", help="write the dag here instead of stdout")
     p.add_argument("--threads-out", metavar="FILE", help="also write the image thread collection")
 

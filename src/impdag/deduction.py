@@ -72,6 +72,10 @@ class Rule(Enum):
     E = "E"
     S = "S"
 
+    # Members are singletons, so identity hashing is exact, and it runs no
+    # Python code per lookup as Enum.__hash__ does.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Node:

@@ -165,18 +165,13 @@ def cleanse_via_fst(d: Deduction, collection: ThreadSet) -> tuple[Choice, Deduct
         raise FstError(f"thread collection is not fundamental: fails {failed}", report)
 
     listed = collection.threads
-    through: defaultdict[int, list[int]] = defaultdict(list)
-    for pos, path in enumerate(paths):
-        for pid in path:
-            through[pid].append(pos)
+    choice: Choice = {}
 
     def commitments(th: Thread) -> Iterator[tuple[tuple[int, int], int]]:
         for i in range(1, len(th) - 1):
             node = d.node(th[i])
             if node.rule is Rule.S:
                 yield (th[i - 1], th[i]), node.children.index(th[i + 1]) + 1
-
-    choice: Choice = {}
 
     def consistent(th: Thread) -> bool:
         return all(choice.get(edge, branch) == branch for edge, branch in commitments(th))
@@ -189,25 +184,30 @@ def cleanse_via_fst(d: Deduction, collection: ThreadSet) -> tuple[Choice, Deduct
         choice.update(commitments(listed[pos]))
         queue.append(pos)
 
-    retain(0)
-    while queue:
-        pos = queue.popleft()
-        for node_id, other, key in _eliminations(d, listed[pos], paths[pos]):
-            pid = step[key]
-            if pid in reached:
-                continue
-            pick = next((p for p in through[pid] if consistent(listed[p])), None)
-            if pick is None:
-                raise CleansingError(
-                    f"no continuation through premise {other} of node {node_id} "
-                    "agrees with the branches already committed"
-                )
-            retain(pick)
-
-    for node in d.nodes.values():
-        if node.rule is Rule.S:
-            for parent in d.parents.get(node.id, ()):
-                choice.setdefault((parent, node.id), 1)
+    # Without S nodes every pick is consistent and nothing is committed.
+    if any(node.rule is Rule.S for node in d.nodes.values()):
+        through: defaultdict[int, list[int]] = defaultdict(list)
+        for pos, path in enumerate(paths):
+            for pid in path:
+                through[pid].append(pos)
+        retain(0)
+        while queue:
+            pos = queue.popleft()
+            for node_id, other, key in _eliminations(d, listed[pos], paths[pos]):
+                pid = step[key]
+                if pid in reached:
+                    continue
+                pick = next((p for p in through[pid] if consistent(listed[p])), None)
+                if pick is None:
+                    raise CleansingError(
+                        f"no continuation through premise {other} of node {node_id} "
+                        "agrees with the branches already committed"
+                    )
+                retain(pick)
+        for node in d.nodes.values():
+            if node.rule is Rule.S:
+                for parent in d.parents.get(node.id, ()):
+                    choice.setdefault((parent, node.id), 1)
 
     cleansed = s_eliminate(d, choice)
     if not prov(cleansed):

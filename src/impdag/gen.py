@@ -9,10 +9,8 @@ rule of the parent, so no repair pass is needed.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from typing import Iterable
 
-from .checker import TupleEncoding
 from .deduction import Deduction, Node, Rule, build, canonical
 from .formula import Atom, Formula, Implication, formula_key, weight
 from .prover import oracle_valid, prove
@@ -24,7 +22,6 @@ __all__ = [
     "provable_pool",
     "random_local_dag",
     "random_proving_dag",
-    "corrupt_encoding",
 ]
 
 DEFAULT_ATOMS = ("a", "b", "c")
@@ -163,53 +160,3 @@ def _wrap_root(rng: random.Random, d: Deduction) -> Deduction:
         hypothesis = random_formula(rng, 3, DEFAULT_ATOMS)
         top = Node(new_id, Implication(hypothesis, root.formula), Rule.I, 0, (d.root,))
     return build(lifted + [top], new_id)
-
-
-def corrupt_encoding(rng: random.Random, t: TupleEncoding, condition: int) -> TupleEncoding:
-    """Damage one row so check_tuples flags ``condition`` (1 to 8).
-
-    The mutation may trip neighbouring conditions as well; the promise
-    is only that the requested one is among the flagged. Raises
-    ValueError when the encoding has no row the strategy applies to.
-    """
-    rows = list(t.rows)
-
-    def pick(matching) -> int:
-        eligible = [i for i, row in enumerate(rows) if matching(row)]
-        if not eligible:
-            raise ValueError(f"no row eligible for condition {condition}")
-        return rng.choice(eligible)
-
-    def other_code(code: int) -> int:
-        if len(t.formula_table) < 2:
-            raise ValueError(f"no row eligible for condition {condition}")
-        return rng.choice([c for c in range(1, len(t.formula_table) + 1) if c != code])
-
-    if condition == 1:
-        i = pick(lambda row: True)
-        rows[i] = replace(rows[i], x=t.b + 1)
-    elif condition == 2:
-        i = pick(lambda row: row.y1 != 0)
-        rows[i] = replace(rows[i], y1=t.b + 1)
-    elif condition == 3:
-        i = pick(lambda row: row.h == 0)
-        rows[i] = replace(rows[i], h=1)
-    elif condition == 4:
-        i = pick(lambda row: row.chi == "L")
-        rows[i] = replace(rows[i], h1=1)
-    elif condition == 5:
-        i = pick(lambda row: row.chi != "L")
-        rows[i] = replace(rows[i], h1=rows[i].h1 + 1)
-    elif condition == 6:
-        i = pick(lambda row: row.chi == "R")
-        rows[i] = replace(rows[i], beta1=other_code(rows[i].beta1))
-    elif condition == 7:
-        i = pick(lambda row: row.chi == "I")
-        target = pick(lambda row: True)
-        rows[i] = replace(rows[i], y2=rows[target].x, h2=rows[i].h + 1)
-    elif condition == 8:
-        i = pick(lambda row: row.chi == "E")
-        rows[i] = replace(rows[i], gamma=other_code(rows[i].gamma))
-    else:
-        raise ValueError(f"no corruption strategy for condition {condition}")
-    return replace(t, rows=tuple(rows))

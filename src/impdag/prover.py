@@ -29,11 +29,9 @@ __all__ = [
     "DEFAULT_MAX_NODES",
     "DEFAULT_ORACLE_WEIGHT",
     "OracleBoundError",
-    "ProofStats",
     "ResourceLimitError",
     "family",
     "oracle_valid",
-    "proof_stats",
     "prove",
 ]
 
@@ -305,23 +303,3 @@ def family(n: int) -> Formula:
             clause = Implication(atoms[i], clause)
         body = Implication(clause, body)
     return body
-
-
-@dataclass(frozen=True)
-class ProofStats:
-    """Size figures for one deduction."""
-
-    height: int
-    nodes: int
-    distinct_formulas: int
-    max_formula_weight: int
-
-
-def proof_stats(d: Deduction) -> ProofStats:
-    formulas = {n.formula for n in d.nodes.values()}
-    return ProofStats(
-        height=d.height(),
-        nodes=len(d.nodes),
-        distinct_formulas=len(formulas),
-        max_formula_weight=max(weight(f) for f in formulas),
-    )

@@ -2,7 +2,8 @@
 
 ``unfold`` copies every shared node once per path, turning a dag into the
 equivalent tree at a possibly exponential size (capped). ``compress`` goes
-the other way for leveled trees: nodes of one level with equal formulas
+the other way for trees, padding short branches as ``level`` does but
+without building the padded tree: nodes of one level with equal formulas
 merge into a single representative, and where the merged originals were
 concluded by different premise groups the representative becomes a
 separation node over one dispatch child per group. ``s_eliminate`` removes
@@ -87,10 +88,14 @@ def level(t: Deduction) -> Deduction:
 
 
 def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
-    """Merge equal-formula nodes per level of a leveled tree.
+    """Merge equal-formula nodes per level of a tree.
 
-    Returns the compressed dag and the image of the tree's thread set
-    under the merge: each original thread becomes the alternating
+    Short branches are padded as ``level`` pads them, so ``compress(t)``
+    equals ``compress(level(t))``, but the padded tree is never built:
+    equal subtrees form one class, worked once per level it is met on.
+
+    Returns the compressed dag and the image of the padded tree's thread
+    set under the merge: each original thread becomes the alternating
     representative/dispatcher path it is carried to. Representatives on
     one merge layer have pairwise distinct formulas; a representative
     whose originals disagree on how they were concluded is a separation
@@ -105,81 +110,71 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
             f"compress() expects local correctness: condition {first.condition}"
             f" at node {first.node}"
         )
-    bottom = max(n.height for n in t.nodes.values())
-    for n in t.nodes.values():
-        if n.rule is Rule.LEAF and n.height != bottom:
-            raise ValueError(f"compress() expects a leveled tree: leaf {n.id} is short")
 
-    # Per level, the nodes of each formula in id order.
-    by_level: dict[int, dict[Formula, list[Node]]] = {}
-    for i in sorted(t.nodes):
-        n = t.nodes[i]
-        by_level.setdefault(n.height, {}).setdefault(n.formula, []).append(n)
+    # Hash-cons the tree bottom up: class id -> (formula, rule, child classes).
+    class_of: dict[int, int] = {}
+    interned: dict[tuple, int] = {}
+    for n in sorted(t.nodes.values(), key=lambda n: -n.height):
+        key = (n.formula, n.rule, tuple(class_of[c] for c in n.children))
+        class_of[n.id] = interned.setdefault(key, len(interned))
+    shapes = list(interned)
+    bottom = t.height()
+
+    def expand(c: int, h: int) -> tuple[Rule, tuple[int, ...]]:
+        """Rule and child classes of class ``c`` met at height ``h``."""
+        _, rule, children = shapes[c]
+        if rule is Rule.LEAF and h < bottom:
+            return Rule.R, (c,)
+        return rule, children
+
+    # The classes met on each level, top down, with their rule and child
+    # classes there.
+    levels = [{class_of[t.root]: expand(class_of[t.root], 0)}]
+    for h in range(bottom):
+        below = (k for _, children in levels[h].values() for k in children)
+        levels.append({k: expand(k, h + 1) for k in below})
 
     nodes: list[Node] = []
-    next_id = 1
-
-    def fresh() -> int:
-        nonlocal next_id
-        value = next_id
-        next_id += 1
-        return value
-
-    rep_of: dict[int, int] = {}  # original node -> merge-layer id
-    disp_of: dict[int, int] = {}  # original non-leaf node -> dispatch-layer id
+    rep: dict[tuple[int, int], int] = {}  # (height, class) -> merge-layer id
+    disp: dict[tuple[int, int], int] = {}  # (height, class) -> dispatch-layer id
     for h in range(bottom, -1, -1):
-        layer = by_level[h]
+        layer: dict[Formula, dict[tuple, tuple[Rule, list[int]]]] = {}
+        for c, (rule, children) in levels[h].items():
+            # An I step's discharged antecedent is fixed by the formula.
+            key = (rule.value, tuple(rep[h + 1, k] for k in children))
+            layer.setdefault(shapes[c][0], {}).setdefault(key, (rule, []))[1].append(c)
         for formula in sorted(layer, key=formula_key):
-            members = layer[formula]
-            if h == bottom:
-                rep = fresh()
-                nodes.append(Node(rep, formula, Rule.LEAF, 2 * h, ()))
-                for m in members:
-                    rep_of[m.id] = rep
-                continue
-            groups: dict[tuple, list[Node]] = {}
-            for m in members:
-                key: tuple = (m.rule.value, tuple(rep_of[c] for c in m.children))
-                if m.rule is Rule.I:
-                    key += (formula_key(m.formula.antecedent),)
-                groups.setdefault(key, []).append(m)
-            rep = fresh()
+            first = len(nodes) + 1
+            groups = layer[formula]
             dispatchers = []
-            for key in sorted(groups):
-                disp = fresh()
-                head = groups[key][0]
-                dispatchers.append(
-                    Node(
-                        disp,
-                        formula,
-                        head.rule,
-                        2 * h + 1,
-                        tuple(rep_of[c] for c in head.children),
-                    )
-                )
-                for m in groups[key]:
-                    rep_of[m.id] = rep
-                    disp_of[m.id] = disp
-            rep_rule = Rule.S if len(dispatchers) > 1 else Rule.R
-            nodes.append(Node(rep, formula, rep_rule, 2 * h, tuple(n.id for n in dispatchers)))
+            for i, key in enumerate(sorted(groups), first + 1):
+                rule, members = groups[key]
+                for c in members:
+                    rep[h, c], disp[h, c] = first, i
+                if rule is not Rule.LEAF:  # leaves, all on the bottom level, get no dispatcher
+                    dispatchers.append(Node(i, formula, rule, 2 * h + 1, key[1]))
+            rep_rule = Rule.S if len(dispatchers) > 1 else Rule.R if dispatchers else Rule.LEAF
+            nodes.append(Node(first, formula, rep_rule, 2 * h, tuple(n.id for n in dispatchers)))
             nodes.extend(dispatchers)
 
-    out = build(nodes, rep_of[t.root])
+    out = build(nodes, rep[0, class_of[t.root]])
     mapping = canonical_map(out)
     out = renumber(out, mapping)
 
-    # Depth first in stored child order, as threads() lists them. path is the
-    # image of the thread so far; a node at height h keeps its first 2h entries.
+    # Depth first in stored child order over (class, height) items, which
+    # walks the padded tree as threads() lists it. path is the image of the
+    # thread so far; an item at height h keeps its first 2h entries.
     images: dict[Thread, None] = {}
     path: list[int] = []
-    stack = [t.root]
+    stack = [(class_of[t.root], 0)]
     while stack:
-        n = t.node(stack.pop())
-        del path[2 * n.height :]
-        path.append(mapping[rep_of[n.id]])
-        if n.children:
-            path.append(mapping[disp_of[n.id]])
-            stack.extend(reversed(n.children))
+        c, h = stack.pop()
+        del path[2 * h :]
+        path.append(mapping[rep[h, c]])
+        children = levels[h][c][1]
+        if children:
+            path.append(mapping[disp[h, c]])
+            stack.extend((k, h + 1) for k in reversed(children))
         else:
             images[tuple(path)] = None
     return out, tuple(images)

@@ -1,8 +1,11 @@
 """Shared builders for hand-made deductions used across the test suite,
-and a seeded generator of compressed dags with separation nodes."""
+a seeded generator of compressed dags with separation nodes, and a
+corruptor of tuple encodings."""
 
 import random
+from dataclasses import replace
 
+from impdag.checker import TupleEncoding
 from impdag.deduction import Deduction, Node, Rule, Thread, build
 from impdag.formula import Implication, parse_infix
 from impdag.gen import random_local_dag
@@ -127,3 +130,53 @@ def random_separation_dag(seed: int) -> tuple[Deduction, tuple[Thread, ...]] | N
     if dag.node(dag.root).rule is Rule.S:
         return None
     return dag, image
+
+
+def corrupt_encoding(rng: random.Random, t: TupleEncoding, condition: int) -> TupleEncoding:
+    """Damage one row so check_tuples flags ``condition`` (1 to 8).
+
+    The mutation may trip neighbouring conditions as well; the promise
+    is only that the requested one is among the flagged. Raises
+    ValueError when the encoding has no row the strategy applies to.
+    """
+    rows = list(t.rows)
+
+    def pick(matching) -> int:
+        eligible = [i for i, row in enumerate(rows) if matching(row)]
+        if not eligible:
+            raise ValueError(f"no row eligible for condition {condition}")
+        return rng.choice(eligible)
+
+    def other_code(code: int) -> int:
+        if len(t.formula_table) < 2:
+            raise ValueError(f"no row eligible for condition {condition}")
+        return rng.choice([c for c in range(1, len(t.formula_table) + 1) if c != code])
+
+    if condition == 1:
+        i = pick(lambda row: True)
+        rows[i] = replace(rows[i], x=t.b + 1)
+    elif condition == 2:
+        i = pick(lambda row: row.y1 != 0)
+        rows[i] = replace(rows[i], y1=t.b + 1)
+    elif condition == 3:
+        i = pick(lambda row: row.h == 0)
+        rows[i] = replace(rows[i], h=1)
+    elif condition == 4:
+        i = pick(lambda row: row.chi == "L")
+        rows[i] = replace(rows[i], h1=1)
+    elif condition == 5:
+        i = pick(lambda row: row.chi != "L")
+        rows[i] = replace(rows[i], h1=rows[i].h1 + 1)
+    elif condition == 6:
+        i = pick(lambda row: row.chi == "R")
+        rows[i] = replace(rows[i], beta1=other_code(rows[i].beta1))
+    elif condition == 7:
+        i = pick(lambda row: row.chi == "I")
+        target = pick(lambda row: True)
+        rows[i] = replace(rows[i], y2=rows[target].x, h2=rows[i].h + 1)
+    elif condition == 8:
+        i = pick(lambda row: row.chi == "E")
+        rows[i] = replace(rows[i], gamma=other_code(rows[i].gamma))
+    else:
+        raise ValueError(f"no corruption strategy for condition {condition}")
+    return replace(t, rows=tuple(rows))

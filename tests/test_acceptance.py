@@ -18,7 +18,6 @@ from impdag.deduction import Overflow, Rule, proves_by_threads, threads
 from impdag.formula import parse_infix, to_infix
 from impdag.fst import ThreadSet, CleansingError, FstError, cleanse_via_fst
 from impdag.gen import (
-    corrupt_encoding,
     enumerate_formulas,
     provable_pool,
     random_local_dag,
@@ -27,7 +26,7 @@ from impdag.gen import (
 from impdag.prover import family, oracle_valid, prove
 from impdag.transform import compress, level, s_eliminate, unfold
 
-from conftest import merge_pair_tree, sep_proof_dag, sep_stuck_dag
+from conftest import corrupt_encoding, merge_pair_tree, sep_proof_dag, sep_stuck_dag
 
 # The benchmark corpus: small named combinator types plus a few shapes with
 # repeated subproofs. Every entry is valid in minimal implicational logic.

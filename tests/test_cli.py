@@ -16,10 +16,10 @@ from impdag.cli import main
 from impdag.deduction import Rule, build, canonical, load_deduction, save_deduction
 from impdag.deduction import threads as dag_threads
 from impdag.fst import ThreadSet, load_threads, save_threads
-from impdag.gen import corrupt_encoding
 from impdag.checker import encode, render_tuples
 
 from conftest import (
+    corrupt_encoding,
     diamond_dag,
     merge_pair_tree,
     mk,
@@ -190,7 +190,7 @@ class TestProveOracle:
         assert code == 0
         d = parse_dag(out)
         assert prov(d)
-        assert "node" in err
+        assert "proof with 3 node(s), height 2" in err
 
     def test_prove_out_file(self, tmp_path, capsys):
         target = tmp_path / "proof.json"
@@ -248,7 +248,7 @@ class TestCompressUnfold:
         dag = parse_dag(out)
         assert sum(1 for n in dag.nodes.values() if n.rule is Rule.S) == 1
         assert len(load_threads(str(threads_out)).threads) == 3
-        assert "3 thread(s)" in err
+        assert "8 tree node(s) down to 12; image keeps 3 thread(s)" in err
 
     def test_compress_levels_automatically(self, tmp_path, capsys):
         ragged = build(

@@ -10,7 +10,6 @@ from impdag.checker import check_local_correctness, check_tuples, encode
 from impdag.deduction import Rule, build, to_dict
 from impdag.formula import Atom, parse_infix, weight
 from impdag.gen import (
-    corrupt_encoding,
     enumerate_formulas,
     provable_pool,
     random_formula,
@@ -18,7 +17,7 @@ from impdag.gen import (
     random_proving_dag,
 )
 
-from conftest import diamond_dag, mk
+from conftest import corrupt_encoding, diamond_dag, mk
 
 
 class TestFormulaGenerators:

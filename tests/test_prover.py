@@ -13,7 +13,6 @@ from impdag.prover import (
     ResourceLimitError,
     family,
     oracle_valid,
-    proof_stats,
     prove,
 )
 
@@ -173,11 +172,3 @@ class TestFamily:
             assert d is not None
             assert prov(d)
 
-
-class TestProofStats:
-    def test_weakening_stats(self):
-        stats = proof_stats(prove(parse_infix("a -> b -> a")))
-        assert stats.height == 2
-        assert stats.nodes == 3
-        assert stats.distinct_formulas == 3
-        assert stats.max_formula_weight == 5

@@ -4,7 +4,7 @@ import pytest
 
 from impdag.assignment import ChoiceError, prov, search_choice
 from impdag.checker import check_local_correctness
-from impdag.deduction import Overflow, Rule, build, canonical, is_tree_like
+from impdag.deduction import Overflow, Rule, build, canonical, is_tree_like, to_dict
 from impdag.formula import parse_infix, weight
 from impdag.transform import compress, level, s_eliminate, unfold
 
@@ -175,9 +175,13 @@ class TestCompress:
         with pytest.raises(ValueError, match="tree-like"):
             compress(diamond_dag())
 
-    def test_rejects_short_leaf(self):
-        with pytest.raises(ValueError, match="leveled"):
-            compress(short_branch_tree())
+    def test_pads_short_branch_itself(self):
+        t = short_branch_tree()
+        dag, image = compress(t)
+        want_dag, want_image = compress(level(t))
+        assert to_dict(dag) == to_dict(want_dag)
+        assert image == want_image
+        assert dag.height() == 4  # the short leaf a is repeated down to level 2
 
     def test_rejects_locally_incorrect(self):
         t = build([mk(1, "a", "R", 0, (2,)), mk(2, "b", "LEAF", 1)], 1)

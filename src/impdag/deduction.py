@@ -19,6 +19,10 @@ root formula when every thread is closed.
 
 Trees are numbered 1..n breadth first by ``lay_out`` as they are grown;
 an existing dag is renumbered the same way by ``canonical``.
+
+A deduction file holds the JSON document of ``to_dict``. ``save_deduction``
+writes its text directly, with one ``json.dumps`` per distinct formula, and
+``from_dict`` checks each entry in one pass before ``build`` checks the dag.
 """
 
 from __future__ import annotations
@@ -77,13 +81,31 @@ class Rule(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
 class Node:
-    id: int
-    formula: Formula
-    rule: Rule
-    height: int
-    children: tuple[int, ...] = ()
+    """A deduction node, compared and hashed by value; never changed once built."""
+
+    __slots__ = ("id", "formula", "rule", "height", "children")
+
+    def __init__(
+        self, id: int, formula: Formula, rule: Rule, height: int, children: tuple[int, ...] = ()
+    ) -> None:
+        self.id, self.formula, self.rule = id, formula, rule
+        self.height, self.children = height, children
+
+    def _fields(self) -> tuple:
+        return (self.id, self.formula, self.rule, self.height, self.children)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        id, formula, rule, height, children = self._fields()
+        return f"Node({id=}, {formula=}, {rule=}, {height=}, {children=})"
 
 
 @dataclass(frozen=True)
@@ -323,6 +345,10 @@ def to_dict(d: Deduction) -> dict:
     }
 
 
+_RULES = {r.value: r for r in Rule}
+_FIELDS = {"id", "formula", "rule", "height", "children"}
+
+
 def from_dict(obj: object) -> Deduction:
     """Build a deduction from the document form; node order in the document
     is irrelevant, children order is significant."""
@@ -337,33 +363,31 @@ def from_dict(obj: object) -> Deduction:
     nodes = []
     parsed: dict[str, Formula] = {}  # each distinct formula text is parsed once
     for entry in obj["nodes"]:
-        if not isinstance(entry, dict):
+        if type(entry) is not dict:
             raise FormatError("each node must be an object")
-        missing = {"id", "formula", "rule", "height", "children"} - entry.keys()
-        if missing:
-            raise FormatError(f"node entry missing {sorted(missing)}")
-        if not isinstance(entry["id"], int) or isinstance(entry["id"], bool):
+        try:
+            nid, text, rule, height, kids = (
+                entry["id"], entry["formula"], entry["rule"], entry["height"], entry["children"]
+            )
+        except KeyError:
+            raise FormatError(f"node entry missing {sorted(_FIELDS - entry.keys())}") from None
+        if type(nid) is not int:
             raise FormatError("node id must be an integer")
-        text = entry["formula"]
-        formula = parsed.get(text) if isinstance(text, str) else None
+        if type(text) is not str:
+            raise FormatError(f"node {nid}: formula must be a string")
+        formula = parsed.get(text)
         if formula is None:
             try:
                 formula = parsed[text] = parse_infix(text)
-            except (FormulaSyntaxError, TypeError) as exc:
-                raise FormatError(f"node {entry['id']}: bad formula: {exc}") from exc
-        try:
-            rule = Rule(entry["rule"])
-        except ValueError as exc:
-            raise FormatError(f"node {entry['id']}: unknown rule {entry['rule']!r}") from exc
-        if not isinstance(entry["height"], int) or isinstance(entry["height"], bool):
-            raise FormatError(f"node {entry['id']}: height must be an integer")
-        if not isinstance(entry["children"], list) or not all(
-            isinstance(c, int) and not isinstance(c, bool) for c in entry["children"]
-        ):
-            raise FormatError(f"node {entry['id']}: children must be a list of ids")
-        nodes.append(
-            Node(entry["id"], formula, rule, entry["height"], tuple(entry["children"]))
-        )
+            except FormulaSyntaxError as exc:
+                raise FormatError(f"node {nid}: bad formula: {exc}") from exc
+        if type(rule) is not str or rule not in _RULES:
+            raise FormatError(f"node {nid}: unknown rule {rule!r}")
+        if type(height) is not int:
+            raise FormatError(f"node {nid}: height must be an integer")
+        if type(kids) is not list or not all(type(c) is int for c in kids):
+            raise FormatError(f"node {nid}: children must be a list of ids")
+        nodes.append(Node(nid, formula, _RULES[rule], height, tuple(kids)))
     return build(nodes, obj["root"])
 
 
@@ -372,7 +396,23 @@ def load_deduction(source: str | IO[str]) -> Deduction:
 
 
 def save_deduction(d: Deduction, target: str | IO[str]) -> None:
-    write_json(to_dict(d), target)
+    """Write the text of ``write_json(to_dict(d), target)`` without building the document."""
+    quoted: dict[Formula, str] = {}  # one JSON string per distinct formula
+    entries = []
+    for i in sorted(d.nodes):
+        n = d.nodes[i]
+        text = quoted.get(n.formula)
+        if text is None:
+            text = quoted[n.formula] = json.dumps(to_infix(n.formula))
+        kids = ",\n        ".join(map(str, n.children))
+        kids = f"[\n        {kids}\n      ]" if kids else "[]"
+        entries.append(
+            f'    {{\n      "id": {n.id},\n      "formula": {text},\n'
+            f'      "rule": "{n.rule.value}",\n      "height": {n.height},\n'
+            f'      "children": {kids}\n    }}'
+        )
+    body = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+    write_text(f'{{\n  "root": {d.root},\n  "nodes": {body}\n}}\n', target)
 
 
 # Every artifact file (deduction, tuple table, choice, threads) is read and

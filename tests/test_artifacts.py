@@ -7,20 +7,24 @@ saved proof tree, its leveled form and its compressed dag, each followed by
 its rendered tuple table. The image digests cover the thread image that
 ``compress`` returns, saved as a thread file; they were taken before the
 image was built by one walk over the tree instead of from ``threads()``.
+The family(6) digest, the same recipe, was taken while ``save_deduction``
+still wrote ``json.dumps(to_dict(d), indent=2)``.
 """
 
 import hashlib
 import io
+import json
 
 import pytest
 
 from impdag.checker import encode, render_tuples
-from impdag.deduction import save_deduction
+from impdag.deduction import Node, Rule, build, renumber, save_deduction, to_dict
 from impdag.formula import parse_infix
 from impdag.fst import ThreadSet, save_threads
 from impdag.prover import family, prove
 from impdag.transform import compress, level
 
+from conftest import random_separation_dag
 from test_acceptance import CORPUS
 
 DIGESTS = {
@@ -62,6 +66,9 @@ IMAGE_DIGESTS = {
 }
 
 
+FAMILY_6_DIGEST = "cc0c9e550aa399ab84b59be8d095b131e6a320a4c40f79e6985437ca3192a7ae"
+
+
 def _formula(name):
     if name.startswith("family("):
         return family(int(name[len("family("):-1]))
@@ -72,9 +79,8 @@ def test_inputs_are_the_corpus_and_family():
     assert list(DIGESTS) == CORPUS + [f"family({n})" for n in range(1, 6)]
 
 
-@pytest.mark.parametrize("name", list(DIGESTS))
-def test_pipeline_artifacts_are_byte_identical(name):
-    tree = prove(_formula(name))
+def _pipeline_digest(formula):
+    tree = prove(formula)
     leveled = level(tree)
     dag, _ = compress(leveled)
     digest = hashlib.sha256()
@@ -83,7 +89,38 @@ def test_pipeline_artifacts_are_byte_identical(name):
         save_deduction(d, buffer)
         digest.update(buffer.getvalue().encode())
         digest.update(render_tuples(encode(d)).encode())
-    assert digest.hexdigest() == DIGESTS[name]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(DIGESTS))
+def test_pipeline_artifacts_are_byte_identical(name):
+    assert _pipeline_digest(_formula(name)) == DIGESTS[name]
+
+
+def test_family_6_artifacts_are_byte_identical():
+    assert _pipeline_digest(family(6)) == FAMILY_6_DIGEST
+
+
+def _separation_dags(count):
+    """The first ``count`` dags that ``random_separation_dag`` makes, with
+    gaps between their ids; every second one has its ids in reverse
+    breadth-first order."""
+    seed = 0
+    while count:
+        made = random_separation_dag(seed)
+        seed += 1
+        if made is not None:
+            count -= 1
+            step = 3 if count % 2 else -3
+            yield renumber(made[0], {i: 10_000 + step * i for i in made[0].nodes})
+
+
+def test_writer_text_is_the_indented_document():
+    one_node = build([Node(7, parse_infix("a"), Rule.LEAF, 0)], 7)
+    for index, d in enumerate([one_node, *_separation_dags(30)]):
+        buffer = io.StringIO()
+        save_deduction(d, buffer)
+        assert buffer.getvalue() == json.dumps(to_dict(d), indent=2) + "\n", index
 
 
 @pytest.mark.parametrize("name", list(DIGESTS))

@@ -154,9 +154,22 @@ def test_undecodable_json_is_malformed(tmp_path, capsys, text):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize("formula", [{"a": 1}, {}, [], None, 7], ids=repr)
+def test_non_string_formula_is_malformed(tmp_path, capsys, formula):
+    files = files_for(tmp_path)
+    doc = to_dict(diamond_dag())
+    doc["nodes"][1]["formula"] = formula
+    write_json(doc, files["dag"])
+    for argv in ALL_COMMANDS:
+        if "{dag}" in argv:
+            code, out, err = run(fill(argv, files), capsys)
+            assert (code, out) == (2, ""), argv
+            assert "node 2: formula must be a string" in err, argv
+
+
 # Seeded fuzzing of every command over mutated documents.
 
-_FORMULA_JUNK = ("a ->", "", "(a", 7, None, ["a"], True)
+_FORMULA_JUNK = ("a ->", "", "(a", 7, None, ["a"], True, {}, {"a": 1})
 _RULE_JUNK = ("LEAF", "R", "I", "E", "S", "X", 1, None)
 
 

@@ -168,6 +168,101 @@ def test_document_schema_errors(mutate):
         from_dict(doc)
 
 
+def _document(root=1, nodes=None, **second):
+    """A two-node document; ``second`` replaces fields of node 2, and a
+    field given as ``...`` is removed."""
+    doc = {
+        "root": root,
+        "nodes": [
+            {"id": 1, "formula": "a -> a", "rule": "I", "height": 0, "children": [2]},
+            {"id": 2, "formula": "a", "rule": "LEAF", "height": 1, "children": []},
+        ],
+    }
+    for key, value in second.items():
+        if value is ...:
+            del doc["nodes"][1][key]
+        else:
+            doc["nodes"][1][key] = value
+    if nodes is not None:
+        doc["nodes"] = nodes
+    return doc
+
+
+_BAD_ENTRY = {"id": 1, "formula": "a ->", "rule": "I", "height": 0, "children": [2]}
+_STRING = "node 2: formula must be a string"
+_CUT = "bad formula: unexpected end of input (position 4)"
+
+# (document, error text). The texts were taken from the loader that checked
+# each field in turn, except those for formulas that are not strings. A case
+# that breaks two checks pins which check runs first.
+SCHEMA_ERRORS = [
+    ([], "document must be an object"),
+    ("x", "document must be an object"),
+    (None, "document must be an object"),
+    ({"nodes": []}, "document needs 'root' and 'nodes'"),
+    ({"root": 1}, "document needs 'root' and 'nodes'"),
+    ({"nodes": {}}, "document needs 'root' and 'nodes'"),
+    (_document(root="1"), "'root' must be a node id"),
+    (_document(root=True), "'root' must be a node id"),
+    (_document(root=1.0), "'root' must be a node id"),
+    (_document(root=None), "'root' must be a node id"),
+    (_document(root="1", nodes={}), "'root' must be a node id"),
+    (_document(nodes={}), "'nodes' must be a list"),
+    (_document(nodes="x"), "'nodes' must be a list"),
+    (_document(nodes=[[]]), "each node must be an object"),
+    (_document(nodes=["x"]), "each node must be an object"),
+    (_document(nodes=[None]), "each node must be an object"),
+    (_document(nodes=[_BAD_ENTRY, "x"]), f"node 1: {_CUT}"),
+    (_document(nodes=["x", _BAD_ENTRY]), "each node must be an object"),
+    (_document(rule=...), "node entry missing ['rule']"),
+    (_document(id=..., formula=...), "node entry missing ['formula', 'id']"),
+    (_document(nodes=[{}]), "node entry missing ['children', 'formula', 'height', 'id', 'rule']"),
+    (_document(id="2", rule=...), "node entry missing ['rule']"),
+    (_document(id="2"), "node id must be an integer"),
+    (_document(id=True), "node id must be an integer"),
+    (_document(id=2.0), "node id must be an integer"),
+    (_document(id=None), "node id must be an integer"),
+    (_document(id="2", formula="a ->"), "node id must be an integer"),
+    (_document(formula="a ->"), f"node 2: {_CUT}"),
+    (_document(formula=""), "node 2: bad formula: empty input (position 0)"),
+    (_document(formula="(a"), "node 2: bad formula: expected ')' (position 2)"),
+    (_document(formula=7), _STRING),
+    (_document(formula=None), _STRING),
+    (_document(formula=True), _STRING),
+    (_document(formula=["a"]), _STRING),
+    (_document(formula=[]), _STRING),
+    (_document(formula={}), _STRING),
+    (_document(formula={"a": 1}), _STRING),
+    (_document(formula="a ->", rule="Q"), f"node 2: {_CUT}"),
+    (_document(formula=7, rule="Q"), _STRING),
+    (_document(rule="Q"), "node 2: unknown rule 'Q'"),
+    (_document(rule="leaf"), "node 2: unknown rule 'leaf'"),
+    (_document(rule=1), "node 2: unknown rule 1"),
+    (_document(rule=None), "node 2: unknown rule None"),
+    (_document(rule=["I"]), "node 2: unknown rule ['I']"),
+    (_document(rule={}), "node 2: unknown rule {}"),
+    (_document(rule="Q", height="1"), "node 2: unknown rule 'Q'"),
+    (_document(height="1"), "node 2: height must be an integer"),
+    (_document(height=True), "node 2: height must be an integer"),
+    (_document(height=1.0), "node 2: height must be an integer"),
+    (_document(height=None), "node 2: height must be an integer"),
+    (_document(height="1", children="2"), "node 2: height must be an integer"),
+    (_document(children="2"), "node 2: children must be a list of ids"),
+    (_document(children=None), "node 2: children must be a list of ids"),
+    (_document(children={}), "node 2: children must be a list of ids"),
+    (_document(children=[True]), "node 2: children must be a list of ids"),
+    (_document(children=["2"]), "node 2: children must be a list of ids"),
+    (_document(children=[3, 2.0]), "node 2: children must be a list of ids"),
+]
+
+
+@pytest.mark.parametrize("doc, text", SCHEMA_ERRORS, ids=[t for _, t in SCHEMA_ERRORS])
+def test_document_schema_error_texts(doc, text):
+    with pytest.raises(FormatError) as err:
+        from_dict(doc)
+    assert str(err.value) == text
+
+
 def test_parents_map():
     d = diamond_dag()
     assert d.parents[4] == (2, 3)

@@ -155,7 +155,7 @@ class Deduction:
         return max(n.height for n in self.nodes.values())
 
 
-def build(nodes: Iterable[Node] | Mapping[int, Node], root: int) -> Deduction:
+def build(nodes: Iterable[Node], root: int) -> Deduction:
     """Validate a node set and return the deduction.
 
     Checks ids, rule arities, leveling, the root and reachability; E children
@@ -163,18 +163,12 @@ def build(nodes: Iterable[Node] | Mapping[int, Node], root: int) -> Deduction:
     determine an orientation. Raises StructureError listing every violated
     invariant by node id.
     """
-    if isinstance(nodes, Mapping):
-        node_map = dict(nodes)
-        bad: list[tuple[int | None, str]] = [
-            (k, "key does not match node id") for k, n in node_map.items() if k != n.id
-        ]
-    else:
-        node_map = {}
-        bad = []
-        for n in nodes:
-            if n.id in node_map:
-                bad.append((n.id, "duplicate node id"))
-            node_map[n.id] = n
+    node_map: dict[int, Node] = {}
+    bad: list[tuple[int | None, str]] = []
+    for n in nodes:
+        if n.id in node_map:
+            bad.append((n.id, "duplicate node id"))
+        node_map[n.id] = n
     if bad:
         raise StructureError(bad)
 

@@ -1,10 +1,13 @@
 """Tree proof search for purely implicational minimal logic.
 
 ``prove`` runs a terminating, contraction-free, goal-directed sequent
-search (in the style of Dyckhoff's LJT restricted to implication) and
-translates successful derivations into tree-like natural deductions.
-Every output is re-checked against the structural checker and the
-assignment semantics before being returned.
+search (in the style of Dyckhoff's LJT restricted to implication) whose
+steps return natural-deduction proofs. Each search keeps a memo of the
+sequents it has settled, with their proofs, so a sequent is proved once
+and every parent that meets it shares the same proof object; the
+tree-like deduction is laid out from that shared proof. Every output is
+re-checked against the structural checker and the assignment semantics
+before being returned.
 
 ``oracle_valid`` decides the same validity question with a separate
 implementation: different context representation, different traversal
@@ -16,8 +19,6 @@ mentions falsum.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
-from typing import Iterator
 
 from .assignment import prov
 from .checker import check_local_correctness
@@ -45,7 +46,7 @@ _FAMILY_COPIES = 4
 
 
 class ResourceLimitError(RuntimeError):
-    """Search or translation exceeded its budget."""
+    """Search or layout exceeded its budget."""
 
     def __init__(self, limit: str, value: int) -> None:
         super().__init__(f"{limit} budget of {value} exceeded")
@@ -54,25 +55,14 @@ class ResourceLimitError(RuntimeError):
 
 
 class OracleBoundError(ValueError):
-    """The oracle refuses formulas above its configured weight."""
+    """The oracle refuses formulas above its configured weight, and those
+    whose search nests deeper than ``DEFAULT_MAX_DEPTH``."""
 
 
 Context = tuple[Formula, ...]
-
-
-@dataclass(frozen=True)
-class _Step:
-    """One sequent-derivation node.
-
-    kind is axiom (goal among hypotheses), intro (goal implication moved
-    left), chain (principal p -> B with atomic p already present), or
-    split (principal (C -> D) -> B, two premises).
-    """
-
-    kind: str
-    goal: Formula
-    principal: Formula | None = None
-    premises: tuple["_Step", ...] = ()
+# A proof tree: (formula, rule, children). Trees are shared, not copied,
+# between the parents that use them.
+Tree = tuple
 
 
 def _insert(context: Context, f: Formula) -> Context:
@@ -89,11 +79,16 @@ def _remove(context: Context, f: Formula) -> Context:
     return tuple(out)
 
 
+def _leaf(f: Formula) -> Tree:
+    return (f, Rule.LEAF, ())
+
+
 def _search(
     context: Context, goal: Formula, depth: int, budget: dict, memo: dict
-) -> _Step | None:
-    """Derivation of the sequent, or None; ``memo`` holds the sequents this
-    search has already settled, whatever depth they were reached at."""
+) -> Tree | None:
+    """Proof of the sequent, or None; ``memo`` holds the proofs of the
+    sequents this search has already settled, whatever depth they were
+    reached at, so every parent that meets a sequent shares its proof."""
     if depth <= 0:
         raise ResourceLimitError("depth", budget["max_depth"])
     key = (context, goal)
@@ -103,15 +98,15 @@ def _search(
     if budget["nodes"] < 0:
         raise ResourceLimitError("nodes", budget["max_nodes"])
 
-    result: _Step | None = None
+    result: Tree | None = None
     if goal in context:
-        result = _Step("axiom", goal)
+        result = _leaf(goal)
     elif isinstance(goal, Implication):
         premise = _search(
             _insert(context, goal.antecedent), goal.consequent, depth - 1, budget, memo
         )
         if premise is not None:
-            result = _Step("intro", goal, premises=(premise,))
+            result = (goal, Rule.I, (premise,))
     else:
         chain = next(
             (
@@ -124,86 +119,61 @@ def _search(
             None,
         )
         if chain is not None:
-            reduced = _insert(_remove(context, chain), chain.consequent)
+            b = chain.consequent
+            reduced = _insert(_remove(context, chain), b)
             premise = _search(reduced, goal, depth - 1, budget, memo)
             if premise is not None:
-                result = _Step("chain", goal, principal=chain, premises=(premise,))
+                bridge = (b, Rule.E, (_leaf(chain.antecedent), _leaf(chain)))
+                result = _replace(premise, b, bridge)
         else:
             for h in context:
                 if not (isinstance(h, Implication) and isinstance(h.antecedent, Implication)):
                     continue
+                head, b = h.antecedent, h.consequent
                 rest = _remove(context, h)
-                flattened = Implication(h.antecedent.consequent, h.consequent)
-                minor = _search(_insert(rest, flattened), h.antecedent, depth - 1, budget, memo)
+                flattened = Implication(head.consequent, b)
+                minor = _search(_insert(rest, flattened), head, depth - 1, budget, memo)
                 if minor is None:
                     continue
-                major = _search(_insert(rest, h.consequent), goal, depth - 1, budget, memo)
+                major = _search(_insert(rest, b), goal, depth - 1, budget, memo)
                 if major is not None:
-                    result = _Step("split", goal, principal=h, premises=(minor, major))
+                    # proof of D -> B from the principal (C -> D) -> B alone
+                    discharge = (
+                        flattened,
+                        Rule.I,
+                        ((b, Rule.E, ((head, Rule.I, (_leaf(head.consequent),)), _leaf(h))),),
+                    )
+                    bridge = (b, Rule.E, (_replace(minor, flattened, discharge), _leaf(h)))
+                    result = _replace(major, b, bridge)
                     break
     memo[key] = result
     return result
 
 
-@dataclass(frozen=True)
-class _Tree:
-    formula: Formula
-    rule: Rule
-    children: tuple["_Tree", ...] = ()
+def _replace(tree: Tree, hypothesis: Formula, proof: Tree) -> Tree:
+    """Substitute a proof for every open leaf carrying hypothesis; each
+    distinct subtree is rewritten once, and one without such a leaf is
+    returned as it is."""
+    done: dict[int, Tree] = {}
+
+    def walk(t: Tree) -> Tree:
+        out = done.get(id(t))
+        if out is None:
+            formula, rule, children = t
+            if rule is Rule.LEAF:
+                out = proof if formula is hypothesis else t
+            else:
+                new = tuple([walk(c) for c in children])
+                out = t if all(a is b for a, b in zip(new, children)) else (formula, rule, new)
+            done[id(t)] = out
+        return out
+
+    return walk(tree)
 
 
-def _leaf(f: Formula) -> _Tree:
-    return _Tree(f, Rule.LEAF)
-
-
-def _replace(tree: _Tree, hypothesis: Formula, proof: _Tree) -> _Tree:
-    """Substitute a proof for every open leaf carrying hypothesis."""
-    if tree.rule is Rule.LEAF:
-        return proof if tree.formula == hypothesis else tree
-    children = tuple(_replace(c, hypothesis, proof) for c in tree.children)
-    if children == tree.children:
-        return tree
-    return _Tree(tree.formula, tree.rule, children)
-
-
-def _translate(step: _Step) -> _Tree:
-    if step.kind == "axiom":
-        return _leaf(step.goal)
-    if step.kind == "intro":
-        return _Tree(step.goal, Rule.I, (_translate(step.premises[0]),))
-    if step.kind == "chain":
-        assert step.principal is not None
-        p, b = step.principal.antecedent, step.principal.consequent
-        bridge = _Tree(b, Rule.E, (_leaf(p), _leaf(step.principal)))
-        return _replace(_translate(step.premises[0]), b, bridge)
-    assert step.kind == "split" and step.principal is not None
-    head = step.principal.antecedent
-    assert isinstance(head, Implication)
-    b = step.principal.consequent
-    flattened = Implication(head.consequent, b)
-    # proof of D -> B from the principal (C -> D) -> B alone
-    discharge = _Tree(
-        flattened,
-        Rule.I,
-        (
-            _Tree(
-                b,
-                Rule.E,
-                (
-                    _Tree(head, Rule.I, (_leaf(head.consequent),)),
-                    _leaf(step.principal),
-                ),
-            ),
-        ),
-    )
-    minor = _replace(_translate(step.premises[0]), flattened, discharge)
-    bridge = _Tree(b, Rule.E, (minor, _leaf(step.principal)))
-    return _replace(_translate(step.premises[1]), b, bridge)
-
-
-def _expand(item: tuple[_Tree, int]):
-    tree, height = item
-    return tree.formula, tree.rule, height, ((c, height + 1) for c in tree.children)
+def _expand(item: tuple[Tree, int]):
+    (formula, rule, children), height = item
+    return formula, rule, height, ((c, height + 1) for c in children)
 
 
 def prove(
@@ -220,10 +190,10 @@ def prove(
     and the assignment criterion are all re-checked.
     """
     budget = {"nodes": max_nodes, "max_nodes": max_nodes, "max_depth": max_depth}
-    step = _search((), f, max_depth, budget, {})
-    if step is None:
+    proof = _search((), f, max_depth, budget, {})
+    if proof is None:
         return None
-    d = lay_out((_translate(step), 0), _expand, max_nodes)
+    d = lay_out((proof, 0), _expand, max_nodes)
     if isinstance(d, Overflow):
         raise ResourceLimitError("nodes", max_nodes)
     root = d.node(d.root)
@@ -244,7 +214,9 @@ def oracle_valid(f: Formula, bound: int = DEFAULT_ORACLE_WEIGHT) -> bool:
 
     memo: dict[tuple[frozenset[Formula], Formula], bool] = {}
 
-    def holds(hyps: frozenset[Formula], goal: Formula) -> bool:
+    def holds(hyps: frozenset[Formula], goal: Formula, depth: int) -> bool:
+        if depth > DEFAULT_MAX_DEPTH:
+            raise OracleBoundError(f"oracle search depth exceeds {DEFAULT_MAX_DEPTH}")
         while isinstance(goal, Implication):
             if goal in hyps:
                 return True
@@ -273,13 +245,15 @@ def oracle_valid(f: Formula, bound: int = DEFAULT_ORACLE_WEIGHT) -> bool:
                 continue
             rest = hyps - {h}
             nested = Implication(h.antecedent.consequent, h.consequent)
-            if holds(rest | {nested}, h.antecedent) and holds(rest | {h.consequent}, goal):
+            if holds(rest | {nested}, h.antecedent, depth + 1) and holds(
+                rest | {h.consequent}, goal, depth + 1
+            ):
                 answer = True
                 break
         memo[key] = answer
         return answer
 
-    return holds(frozenset(), f)
+    return holds(frozenset(), f, 1)
 
 
 def family(n: int) -> Formula:

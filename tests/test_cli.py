@@ -15,6 +15,7 @@ from impdag.checker import parse_tuples
 from impdag.cli import main
 from impdag.deduction import Rule, build, canonical, load_deduction, save_deduction
 from impdag.deduction import threads as dag_threads
+from impdag.formula import to_infix
 from impdag.fst import ThreadSet, load_threads, save_threads
 from impdag.checker import encode, render_tuples
 
@@ -27,6 +28,7 @@ from conftest import (
     sep_proof_dag,
     sep_stuck_dag,
 )
+from test_prover import double_negations
 
 
 def run(argv, capsys):
@@ -229,6 +231,14 @@ class TestProveOracle:
         done = run_process(["oracle", " -> ".join(["a"] * 1500)])
         assert done.returncode == 3
         assert "exceeds bound" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("n, code", [(300, 1), (1000, 3)])
+    def test_oracle_deep_search_answers_or_hits_the_depth_bound(self, n, code):
+        done = run_process(["oracle", "--bound", "100000000", to_infix(double_negations(n))])
+        assert done.returncode == code
+        assert done.stdout == ("invalid\n" if code == 1 else "")
+        assert ("search depth exceeds 400" in done.stderr) == (code == 3)
         assert "Traceback" not in done.stderr
 
 

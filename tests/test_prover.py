@@ -129,6 +129,21 @@ class TestOracle:
         with pytest.raises(OracleBoundError):
             oracle_valid(parse_infix(S_COMBINATOR), bound=5)
 
+    def test_search_depth_is_bounded(self):
+        # each level of double negation nests the search one call deeper
+        assert not oracle_valid(double_negations(399), bound=10**8)
+        for n in (400, 1000):
+            with pytest.raises(OracleBoundError, match="search depth exceeds 400"):
+                oracle_valid(double_negations(n), bound=10**8)
+
+
+def double_negations(n):
+    """F_n -> b, where F_0 = a and F_(k+1) = (F_k -> b) -> b."""
+    f, b = Atom("a"), Atom("b")
+    for _ in range(n):
+        f = Implication(Implication(f, b), b)
+    return Implication(f, b)
+
 
 def formulas_up_to(max_weight, atoms=("a", "b")):
     """Every purely implicational formula over the atoms, by weight."""

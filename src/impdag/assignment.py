@@ -14,8 +14,18 @@ commitment is per edge: each parent arriving at a separation node picks one
 branch, so a shared separation node may serve different branches to
 different parents (the tree-unfolded picture resolves each occurrence on
 its own). ``search_choice`` looks for a commitment making the root value
-empty by exhaustive backtracking, which is exponential in the number of
-separation edges in the worst case; no attempt is made to do better.
+empty by depth-first backtracking over the edges (Davis, Logemann and
+Loveland, 1962). It abandons a partial commitment as soon as the root value
+is non-empty with every undecided edge read as ∅: deciding an edge only adds
+paths to leaves, so that value is contained in the value of every
+completion, and no certificate is cut off. The search stays exponential in
+the number of separation edges in the worst case; deciding whether a
+certificate exists is PSPACE-hard in general (Statman, 1979).
+
+``evaluate``, ``prov`` and the search share one evaluation core: the dag is
+compiled once per call into steps over bit sets of leaf formulas, with the
+node order, premises and discharged formulas worked out, and per commitment
+only the nodes above a separation edge are evaluated again.
 
 ``prov1`` is an independent reachability formulation used to cross-check
 ``prov``: a leaf stands discharged exactly when every downward path to it
@@ -28,6 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import IO, Union as TypingUnion
 
 from .deduction import Deduction, FormatError, Node, Rule, read_json, write_json
@@ -123,44 +134,28 @@ def evaluate(d: Deduction, choice: Choice) -> dict[int, SetValue]:
     non-separation node to a set. The commitment must cover every edge
     into a separation node; entries for other keys are ignored.
     """
-    vals: dict[int, SetValue] = {}
-
-    def resolve(parent: Node, child_id: int) -> SetValue:
-        child = d.node(child_id)
-        if child.rule is not Rule.S:
-            return vals[child_id]
-        key = (parent.id, child_id)
+    program = _Program(d)
+    picks = []
+    for key, branches in zip(program.edges, program.branches):
         if key not in choice:
             raise ChoiceError(f"no branch chosen for edge {key}")
         index = choice[key]
-        if not 1 <= index <= len(child.children):
-            raise ChoiceError(
-                f"edge {key}: branch {index} out of range 1..{len(child.children)}"
-            )
-        branch = d.node(child.children[index - 1])
-        if branch.rule is Rule.S:
-            raise ValueError(f"separation node {branch.id} directly under {child_id}")
-        return vals[branch.id]
-
-    for n in _by_descending_height(d):
-        if n.rule is Rule.S:
-            continue
-        if n.rule is Rule.LEAF:
-            vals[n.id] = frozenset((n.formula,))
-        elif n.rule is Rule.R:
-            vals[n.id] = resolve(n, n.children[0])
-        elif n.rule is Rule.I:
-            vals[n.id] = resolve(n, n.children[0]) - {_discharged(n)}
-        else:
-            minor, major = _premises(d, n)
-            vals[n.id] = resolve(n, minor) | resolve(n, major)
+        if not 1 <= index <= len(branches):
+            raise ChoiceError(f"edge {key}: branch {index} out of range 1..{len(branches)}")
+        picks.append(branches[index - 1])
+    sets: dict[int, SetValue] = {}
+    vals = {}
+    for x, bits in zip(program.ids, program.run(picks)[1:]):
+        if bits not in sets:
+            sets[bits] = frozenset(f for k, f in enumerate(program.formulas) if bits >> k & 1)
+        vals[x] = sets[bits]
     return vals
 
 
 def prov(d: Deduction) -> bool:
     """Deterministic provability for separation-free dags: empty root value."""
     _reject_separation(d)
-    return evaluate(d, {})[d.root] == frozenset()
+    return not _Program(d).base[-1]
 
 
 def prov1(d: Deduction) -> bool:
@@ -201,48 +196,149 @@ def search_choice(d: Deduction) -> Choice | None:
     """Least branch commitment emptying the root value, if any.
 
     Edges into separation nodes are ordered by breadth-first discovery
-    from the root; branch indices are tried ascending, so the first hit is
-    the lexicographically least certificate in that edge order. A dag
-    rooted at a separation node has no edge selecting its branches and
-    never evaluates to a set, so the answer there is always none.
+    from the root and decided in that order, branch indices ascending, so
+    the first hit is the lexicographically least certificate in that edge
+    order. A partial commitment is abandoned as soon as the root value is
+    non-empty with the undecided edges read as ∅; that value is a lower
+    bound for every completion, so the answer is the one trying every
+    commitment in order would give. A dag rooted at a separation node has
+    no edge selecting its branches and never evaluates to a set, so the
+    answer there is always none. Malformed nodes raise ValueError before
+    any commitment is tried, whatever the commitments would be.
     """
     if d.node(d.root).rule is Rule.S:
         return None
+    program = _Program(d)
+    index = {key: e for e, key in enumerate(program.edges)}
     edges = _separation_edges(d)
-    if not edges:
-        return {} if evaluate(d, {})[d.root] == frozenset() else None
-    arities = [len(d.node(s).children) for _, s in edges]
-    indices = [1] * len(edges)
-    while True:
-        choice = dict(zip(edges, indices))
-        if evaluate(d, choice)[d.root] == frozenset():
-            return choice
-        pos = len(indices) - 1
-        while pos >= 0 and indices[pos] == arities[pos]:
-            indices[pos] = 1
-            pos -= 1
-        if pos < 0:
-            return None
-        indices[pos] += 1
+    order = [index[key] for key in edges]
+    picks = [0] * len(program.edges)
+    tried = [0] * len(order)  # per depth, the 1-based branch picked last
+    if program.base[-1]:
+        return None
+    depth = 0
+    while depth < len(order):
+        e = order[depth]
+        branches = program.branches[e]
+        if tried[depth] == len(branches):
+            tried[depth] = picks[e] = 0
+            depth -= 1
+            if depth < 0:
+                return None
+            continue
+        picks[e] = branches[tried[depth]]
+        tried[depth] += 1
+        if not program.run(picks)[-1]:
+            depth += 1
+    return dict(zip(edges, tried))
 
 
 def _separation_edges(d: Deduction) -> list[tuple[int, int]]:
-    edges: dict[tuple[int, int], None] = {}
+    """Edges into separation nodes, parents in breadth-first order from the
+    root and children in stored order. Repeats none once ``_Program`` has
+    accepted ``d``: no separation node has a separation child."""
+    nodes = d.nodes
     seen = {d.root}
-    queue = deque((d.root,))
-    while queue:
-        n = d.node(queue.popleft())
-        for c in n.children:
-            if d.node(c).rule is Rule.S:
-                edges[n.id, c] = None
+    queue = [d.root]
+    for x in queue:  # grows while it is read: breadth first
+        for c in nodes[x].children:
             if c not in seen:
                 seen.add(c)
                 queue.append(c)
-    return list(edges)
+    return [(x, c) for x in queue for c in nodes[x].children if nodes[c].rule is Rule.S]
 
 
-def _by_descending_height(d: Deduction):
-    return sorted(d.nodes.values(), key=lambda n: (-n.height, n.id))
+class _Program:
+    """The concrete evaluation of a dag, worked out once per call.
+
+    Values are bit sets: bit k stands for ``formulas[k]``. Slot 0 always
+    holds ∅, and slot i holds the value of node ``ids[i - 1]``. The ids are
+    the non-separation nodes in descending height order, so children come
+    before their parents, and the root comes last unless it is a separation
+    node. ``base`` holds the slot values with every separation edge read as
+    ∅. Edge e is the (parent, separation node) pair ``edges[e]``; the edges
+    are listed in the order evaluation reads them, and ``branches[e]``
+    holds the slots of the branches the edge can pick. The nodes whose
+    value depends on some edge are recomputed per commitment, in order, by
+    the steps ``(slot, drop, reads, edge_reads)``: the value is
+    ``(reads | edge_reads) & ~drop``, where ``reads`` are the slots of the
+    children that are not separation nodes and ``edge_reads`` the node's
+    edges into separation nodes. A leaf depends on no edge.
+    """
+
+    __slots__ = ("ids", "base", "formulas", "edges", "branches", "steps")
+
+    def __init__(self, d: Deduction) -> None:
+        """Compile ``d``; malformed nodes raise ValueError, in evaluation order."""
+        nodes = d.nodes
+        slot: dict[int, int] = {}
+        bits: dict[Formula, int] = {}
+        varies = [False]  # per slot: does the value depend on some edge?
+        self.ids: list[int] = []
+        self.base: list[int] = [0]
+        self.formulas: list[Formula] = []
+        self.edges: list[tuple[int, int]] = []
+        self.branches: list[tuple[int, ...]] = []
+        self.steps: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
+        ids, vals, formulas, edges = self.ids, self.base, self.formulas, self.edges
+        for n in _by_descending_height(d):
+            rule = n.rule
+            if rule is Rule.S:
+                continue
+            ids.append(n.id)
+            slot[n.id] = len(ids)
+            if rule is Rule.LEAF:
+                value = bits.get(n.formula)
+                if value is None:
+                    value = bits[n.formula] = 1 << len(formulas)
+                    formulas.append(n.formula)
+                vals.append(value)
+                varies.append(False)
+                continue
+            value = drop = 0
+            changes = False
+            reads, edge_reads = [], []
+            for c in _premises(d, n) if rule is Rule.E else n.children:
+                child = nodes[c]
+                if child.rule is not Rule.S:
+                    r = slot[c]
+                    reads.append(r)
+                    value |= vals[r]
+                    changes = changes or varies[r]
+                    continue
+                for b in child.children:
+                    if nodes[b].rule is Rule.S:
+                        raise ValueError(f"separation node {b} directly under {c}")
+                edge_reads.append(len(edges))
+                edges.append((n.id, c))
+                self.branches.append(tuple(slot[b] for b in child.children))
+                changes = True
+            if rule is Rule.I:
+                # Leaves below come first, so an antecedent without a bit yet
+                # is no leaf formula of the child's value.
+                drop = bits.get(_discharged(n), 0)
+            vals.append(value & ~drop)
+            varies.append(changes)
+            if changes:
+                self.steps.append((len(ids), drop, tuple(reads), tuple(edge_reads)))
+
+    def run(self, picks: list[int]) -> list[int]:
+        """Slot values when edge e reads slot ``picks[e]``; slot 0 reads ∅."""
+        vals = self.base.copy()
+        for slot, drop, reads, edge_reads in self.steps:
+            value = 0
+            for r in reads:
+                value |= vals[r]
+            for e in edge_reads:
+                value |= vals[picks[e]]
+            vals[slot] = value & ~drop
+        return vals
+
+
+def _by_descending_height(d: Deduction) -> list[Node]:
+    order = sorted(d.nodes.values(), key=attrgetter("id"))
+    order.sort(key=attrgetter("height"), reverse=True)  # stable: ids stay ascending
+    return order
 
 
 def _discharged(n: Node) -> Formula:

@@ -71,6 +71,41 @@ def separation_root():
     )
 
 
+def separation_under_separation(root_rule):
+    # Fails condition 2d: node 4 is a separation branch of separation node 2.
+    root_formula = "a -> a" if root_rule == "I" else "a"
+    return build(
+        [
+            mk(1, root_formula, root_rule, 0, (2,)),
+            mk(2, "a", "S", 1, (3, 4)),
+            mk(3, "a", "LEAF", 2),
+            mk(4, "a", "S", 2, (5, 6)),
+            mk(5, "a", "LEAF", 3),
+            mk(6, "a", "LEAF", 3),
+        ],
+        1,
+    )
+
+
+def malformed_under_separation(rule):
+    # The second branch of node 2 is an introduction that concludes an atom,
+    # or an elimination without a major premise.
+    if rule == "I":
+        below = [mk(4, "a", "I", 2, (5,)), mk(5, "a", "LEAF", 3)]
+    else:
+        below = [mk(4, "a", "E", 2, (5, 6)), mk(5, "b", "LEAF", 3), mk(6, "g", "LEAF", 3)]
+    return build(
+        [
+            mk(1, "a -> a", "I", 0, (2,)),
+            mk(2, "a", "S", 1, (3, 4)),
+            mk(3, "a", "R", 2, (7,)),
+            *below,
+            mk(7, "a", "LEAF", 3),
+        ],
+        1,
+    )
+
+
 class TestSymbolicEvaluation:
     def test_stuck_dag_golden_values(self):
         vals = evaluate_symbolic(sep_stuck_dag())
@@ -140,6 +175,11 @@ class TestEvaluate:
         assert 3 not in vals
         assert set(vals) == {1, 2, 4, 5, 6, 7, 8}
 
+    def test_separation_under_separation_raises_for_any_commitment(self):
+        d = separation_under_separation("I")
+        with pytest.raises(ValueError, match=r"^separation node 4 directly under 2$"):
+            evaluate(d, {(1, 2): 1, (2, 4): 1})
+
     def test_separation_root_has_no_root_value(self):
         vals = evaluate(separation_root(), {})
         assert 1 not in vals
@@ -201,6 +241,30 @@ class TestSearchChoice:
 
     def test_separation_root_gives_none(self):
         assert search_choice(separation_root()) is None
+
+    @pytest.mark.parametrize("root_rule", ["I", "R"])
+    def test_separation_under_separation_raises_before_any_commitment(self, root_rule):
+        # Under I the first commitment, {(1, 2): 1, (2, 4): 1}, proves without
+        # reading node 4; under R a search in order reaches it. The outcome
+        # must not depend on that.
+        d = separation_under_separation(root_rule)
+        with pytest.raises(ValueError, match=r"^separation node 4 directly under 2$"):
+            search_choice(d)
+
+    @pytest.mark.parametrize(
+        "rule, text",
+        [
+            ("I", "introduction node 4 concludes a non-implication"),
+            ("E", "elimination node 4 has no major premise"),
+        ],
+    )
+    def test_malformed_branch_raises_before_any_commitment(self, rule, text):
+        # Committing edge (1, 2) to branch 1 proves without reading node 4.
+        d = malformed_under_separation(rule)
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            search_choice(d)
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            evaluate(d, {(1, 2): 1})
 
 
 class TestTreeAgreement:

@@ -17,10 +17,12 @@ clause of the node-local definition fails, identified by a short clause id:
 
     t(x) = [x, y1, y2, h, h1, h2, chi, gamma, beta1, beta2]
 
-where y1, y2 are the premise ids (0 when absent), h the node height, h1, h2
-the premise heights, chi the rule letter (L, R, I, E), gamma the node
-formula and beta1, beta2 the premise formulas, all formulas as codes into a
-side table. ``check_tuples`` re-validates rows directly against numbered
+the paper's 10-tuples, one per node, where y1, y2 are the premise ids (0
+when absent), h the node height, h1, h2 the premise heights, chi the rule
+letter (L, R, I, E), gamma the node formula and beta1, beta2 the premise
+formulas, all formulas as codes into a side table. ``TupleRow`` is a plain
+named tuple, so the layer unpacks rows rather than reading fields one by
+one. ``check_tuples`` re-validates rows directly against numbered
 conditions 1 to 8 without materializing a deduction:
 
 1. rows with equal ids are equal, ids lie in 1..b;
@@ -33,16 +35,16 @@ conditions 1 to 8 without materializing a deduction:
 8. the major elimination premise is the minor premise arrow the conclusion.
 
 Condition 0 is used for rows that are malformed before any of the above
-apply (formula codes out of table range, negative numbers). The runtime of
-``check_tuples`` is a small constant times b * a formula-symbol
-comparisons plus dictionary lookups, quadratic in the input size overall.
+apply (formula codes out of table range, negative numbers). Formulas are
+hash-consed, so every formula comparison ``check_tuples`` makes is an
+identity test, and it runs in time linear in the rows plus the table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .deduction import Deduction, Node, Rule, StructureError, build, canonical
+from .deduction import Deduction, Node, Rule, StructureError, build, canonical_map
 from .formula import (
     Formula,
     FormulaSyntaxError,
@@ -50,7 +52,6 @@ from .formula import (
     formula_key,
     is_implication,
     parse_prefix,
-    to_prefix,
     weight,
 )
 
@@ -71,15 +72,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     condition: int | str
     node: int | None
     message: str
 
 
-@dataclass(frozen=True)
-class LCReport:
+class LCReport(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...]
 
@@ -153,8 +152,7 @@ def check_local_correctness(d: Deduction) -> LCReport:
     return LCReport(not ordered, ordered)
 
 
-@dataclass(frozen=True)
-class TupleRow:
+class TupleRow(NamedTuple):
     x: int
     y1: int
     y2: int
@@ -167,8 +165,7 @@ class TupleRow:
     beta2: int
 
 
-@dataclass(frozen=True)
-class TupleEncoding:
+class TupleEncoding(NamedTuple):
     a: int  # twice the root formula weight, the nominal formula budget
     b: int  # node count
     formula_table: tuple[Formula, ...]
@@ -177,6 +174,8 @@ class TupleEncoding:
 
 
 _CHI = {Rule.LEAF: "L", Rule.R: "R", Rule.I: "I", Rule.E: "E"}
+_RULE_OF = {"L": Rule.LEAF, "R": Rule.R, "I": Rule.I, "E": Rule.E}
+_ROW_TEXT = " ".join(["%s"] * len(TupleRow._fields))
 
 
 def encode(d: Deduction) -> TupleEncoding:
@@ -186,9 +185,9 @@ def encode(d: Deduction) -> TupleEncoding:
     is deterministic. The formula table lists every formula labelling a
     node, ordered by weight then prefix text, codes starting at 1.
     """
-    for n in sorted(d.nodes.values(), key=lambda n: n.id):
-        if n.rule is Rule.S:
-            raise EncodingError(f"node {n.id} is a separation node")
+    separations = [n.id for n in d.nodes.values() if n.rule is Rule.S]
+    if separations:
+        raise EncodingError(f"node {min(separations)} is a separation node")
     report = check_local_correctness(d)
     if not report.ok:
         first = report.violations[0]
@@ -197,58 +196,61 @@ def encode(d: Deduction) -> TupleEncoding:
             report,
         )
 
-    c = canonical(d)
-    table = sorted({n.formula for n in c.nodes.values()}, key=formula_key)
-    code = {f: i + 1 for i, f in enumerate(table)}
-    a = 2 * weight(c.node(c.root).formula)
+    nodes = d.nodes
+    new_id = canonical_map(d)  # in new-id order
+    if len(new_id) != len(nodes):
+        unreachable = min(i for i in nodes if i not in new_id)
+        raise EncodingError(f"node {unreachable} is unreachable from the root")
+    table = sorted({n.formula for n in nodes.values()}, key=formula_key)
+    code = {f: i for i, f in enumerate(table, 1)}
+    ref = {i: (x, code[nodes[i].formula]) for i, x in new_id.items()}
 
     rows = []
-    for i in sorted(c.nodes):
-        n = c.node(i)
-        children = n.children
+    for i, (x, gamma) in ref.items():
+        n = nodes[i]
+        h, children = n.height, n.children
         if n.rule is Rule.E:
-            y, z = (c.node(j) for j in children)
-            if not is_implication(z.formula, y.formula, n.formula):
-                children = (children[1], children[0])
-        y1 = children[0] if len(children) > 0 else 0
-        y2 = children[1] if len(children) > 1 else 0
-        rows.append(
-            TupleRow(
-                x=n.id,
-                y1=y1,
-                y2=y2,
-                h=n.height,
-                h1=n.height + 1 if children else 0,
-                h2=n.height + 1 if children else 0,
-                chi=_CHI[n.rule],
-                gamma=code[n.formula],
-                beta1=code[c.node(y1).formula] if y1 else 0,
-                beta2=code[c.node(y2).formula] if y2 else 0,
-            )
-        )
+            y, z = children
+            if not is_implication(nodes[z].formula, nodes[y].formula, n.formula):
+                children = (z, y)
+        y1 = y2 = beta1 = beta2 = h1 = 0
+        if children:
+            h1 = h + 1
+            y1, beta1 = ref[children[0]]
+            if len(children) > 1:
+                y2, beta2 = ref[children[1]]
+        rows.append(TupleRow(x, y1, y2, h, h1, h1, _CHI[n.rule], gamma, beta1, beta2))
+    a = 2 * weight(nodes[d.root].formula)
     return TupleEncoding(a, len(rows), tuple(table), tuple(rows), len(table) > a)
 
 
 def decode(t: TupleEncoding) -> Deduction:
     """Rebuild the deduction; raises DecodeError on dangling codes or a
-    missing root."""
+    missing root. Equal rows with one id are one node (condition 1)."""
     if not t.rows:
         raise DecodeError("no root: empty row list")
-    rule_of = {"L": Rule.LEAF, "R": Rule.R, "I": Rule.I, "E": Rule.E}
-
-    def formula_at(code: int, row: TupleRow) -> Formula:
-        if not 1 <= code <= len(t.formula_table):
-            raise DecodeError(f"row {row.x}: formula code {code} outside the table")
-        return t.formula_table[code - 1]
-
-    nodes = []
+    by_id: dict[int, TupleRow] = {}
     for row in t.rows:
-        if row.chi not in rule_of:
-            raise DecodeError(f"row {row.x}: unknown rule letter {row.chi!r}")
-        children = tuple(y for y in (row.y1, row.y2) if y)
-        nodes.append(Node(row.x, formula_at(row.gamma, row), rule_of[row.chi], row.h, children))
+        if by_id.setdefault(row[0], row) != row:
+            rows = t.rows  # conflicting duplicates: build names each of them
+            break
+    else:
+        rows = by_id.values()
 
-    roots = [n.id for n in nodes if n.height == 0]
+    table = t.formula_table
+    nodes, roots = [], []
+    for x, y1, y2, h, _, _, chi, gamma, _, _ in rows:
+        rule = _RULE_OF.get(chi)
+        if rule is None:
+            raise DecodeError(f"row {x}: unknown rule letter {chi!r}")
+        if not 1 <= gamma <= len(table):
+            raise DecodeError(f"row {x}: formula code {gamma} outside the table")
+        # the nonzero premise ids, in slot order
+        children = (y1, y2) if y1 and y2 else (y1 or y2,) if y1 or y2 else ()
+        nodes.append(Node(x, table[gamma - 1], rule, h, children))
+        if h == 0:
+            roots.append(x)
+
     if len(roots) != 1:
         raise DecodeError(f"expected one height-0 row, found {len(roots)}")
     try:
@@ -265,83 +267,76 @@ def check_tuples(t: TupleEncoding) -> LCReport:
     def flag(condition: int, node: int, message: str) -> None:
         violations.append(Violation(condition, node, message))
 
-    def formula_at(code: int) -> Formula | None:
-        if 1 <= code <= len(t.formula_table):
-            return t.formula_table[code - 1]
-        return None
-
+    formula_at = dict(enumerate(t.formula_table, 1))
     by_id: dict[int, TupleRow] = {}
     for row in t.rows:
-        ints = (row.y1, row.y2, row.h, row.h1, row.h2, row.gamma, row.beta1, row.beta2)
-        if row.chi not in ("L", "R", "I", "E") or any(v < 0 for v in ints):
-            flag(0, row.x, "malformed row values")
+        x, y1, y2, h, h1, h2, chi, gamma, beta1, beta2 = row
+        if chi not in _RULE_OF or min(y1, y2, h, h1, h2, gamma, beta1, beta2) < 0:
+            flag(0, x, "malformed row values")
             continue
-        if formula_at(row.gamma) is None:
-            flag(0, row.x, f"formula code {row.gamma} outside the table")
+        if gamma not in formula_at:
+            flag(0, x, f"formula code {gamma} outside the table")
             continue
-        if not 1 <= row.x <= t.b:
-            flag(1, row.x, f"node code {row.x} outside 1..{t.b}")
+        if not 1 <= x <= t.b:
+            flag(1, x, f"node code {x} outside 1..{t.b}")
             continue
-        if row.x in by_id:
-            if by_id[row.x] != row:
-                flag(1, row.x, "conflicting duplicate rows")
-            continue
-        by_id[row.x] = row
+        first = by_id.setdefault(x, row)
+        if first is not row and first != row:
+            flag(1, x, "conflicting duplicate rows")
 
+    # Premise references (condition 2) and the per-rule conditions 4 to 8
+    # share one pass; the stable sort below keeps each condition's order.
     children_of_someone: set[int] = set()
-    for row in by_id.values():
-        for y, hy, by in ((row.y1, row.h1, row.beta1), (row.y2, row.h2, row.beta2)):
+    for x, y1, y2, h, h1, h2, chi, gamma, beta1, beta2 in by_id.values():
+        for y, hy, by in ((y1, h1, beta1), (y2, h2, beta2)):
             if y == 0:
                 continue
             children_of_someone.add(y)
             other = by_id.get(y)
             if other is None:
-                flag(2, row.x, f"premise row {y} is missing")
+                flag(2, x, f"premise row {y} is missing")
                 continue
-            if other.h != hy:
-                flag(2, row.x, f"premise {y} height {other.h} does not match slot {hy}")
-            if other.gamma != by:
-                flag(2, row.x, f"premise {y} formula does not match slot")
+            if other[3] != hy:
+                flag(2, x, f"premise {y} height {other[3]} does not match slot {hy}")
+            if other[7] != by:
+                flag(2, x, f"premise {y} formula does not match slot")
+
+        if chi == "L":
+            if y1 or y2 or h1 or h2 or beta1 or beta2:
+                flag(4, x, "leaf row with nonzero premise slots")
+            continue
+        if y1 == 0 or (chi == "E" and y2 == 0):
+            flag(5, x, "non-leaf row without its premise")
+        if h1 != h + 1 or h2 != h + 1:
+            flag(5, x, "premise heights are not h + 1")
+        if chi == "R":
+            if y2 or beta2:
+                flag(6, x, "repetition row with a second premise")
+            elif gamma != beta1:
+                flag(6, x, "repetition changes the formula")
+        elif chi == "I":
+            if y2 or beta2:
+                flag(7, x, "introduction row with a second premise")
+            else:
+                f = formula_at[gamma]
+                if not (isinstance(f, Implication) and f.consequent is formula_at.get(beta1)):
+                    flag(7, x, "conclusion does not introduce onto the premise formula")
+        elif chi == "E":
+            minor, major = formula_at.get(beta1), formula_at.get(beta2)
+            if minor is None or major is None:
+                flag(8, x, "elimination premise codes outside the table")
+            elif not is_implication(major, minor, formula_at[gamma]):
+                flag(8, x, "major premise is not minor arrow conclusion")
 
     roots = [x for x in by_id if x not in children_of_someone]
     if not roots:
         flag(3, 0, "no parentless row")
     for x in roots:
         row = by_id[x]
-        if row.h != 0:
+        if row[3] != 0:
             flag(3, x, "parentless row with nonzero height")
-        if row.chi == "L":
+        if row[6] == "L":
             flag(3, x, "parentless row is a leaf")
-
-    for row in by_id.values():
-        if row.chi == "L":
-            if any((row.y1, row.y2, row.h1, row.h2, row.beta1, row.beta2)):
-                flag(4, row.x, "leaf row with nonzero premise slots")
-            continue
-        if row.y1 == 0 or (row.chi == "E" and row.y2 == 0):
-            flag(5, row.x, "non-leaf row without its premise")
-        if row.h1 != row.h + 1 or row.h2 != row.h + 1:
-            flag(5, row.x, "premise heights are not h + 1")
-        gamma = formula_at(row.gamma)
-        beta1 = formula_at(row.beta1)
-        beta2 = formula_at(row.beta2)
-        if row.chi == "R":
-            if row.y2 != 0 or row.beta2 != 0:
-                flag(6, row.x, "repetition row with a second premise")
-            elif row.gamma != row.beta1:
-                flag(6, row.x, "repetition changes the formula")
-        elif row.chi == "I":
-            if row.y2 != 0 or row.beta2 != 0:
-                flag(7, row.x, "introduction row with a second premise")
-            elif beta1 is None or not (
-                isinstance(gamma, Implication) and gamma.consequent == beta1
-            ):
-                flag(7, row.x, "conclusion does not introduce onto the premise formula")
-        elif row.chi == "E":
-            if beta1 is None or beta2 is None or gamma is None:
-                flag(8, row.x, "elimination premise codes outside the table")
-            elif not is_implication(beta2, beta1, gamma):
-                flag(8, row.x, "major premise is not minor arrow conclusion")
 
     ordered = tuple(sorted(violations, key=lambda v: (str(v.condition), v.node or 0)))
     return LCReport(not ordered, ordered)
@@ -351,13 +346,8 @@ def render_tuples(t: TupleEncoding) -> str:
     """Text form: header line 'a b', then the formula table (code, tab,
     prefix formula), then one row per line with the rule letter upper case."""
     lines = [f"{t.a} {t.b}"]
-    for i, f in enumerate(t.formula_table):
-        lines.append(f"{i + 1}\t{to_prefix(f)}")
-    for r in t.rows:
-        lines.append(
-            f"{r.x} {r.y1} {r.y2} {r.h} {r.h1} {r.h2} {r.chi} "
-            f"{r.gamma} {r.beta1} {r.beta2}"
-        )
+    lines += [f"{i}\t{f.prefix}" for i, f in enumerate(t.formula_table, 1)]
+    lines += [_ROW_TEXT % row for row in t.rows]
     return "\n".join(lines) + "\n"
 
 
@@ -392,14 +382,17 @@ def parse_tuples(text: str) -> TupleEncoding:
         parts = ln.split()
         if len(parts) != 10:
             raise TupleFormatError(f"row needs 10 fields: {ln!r}")
-        chi = parts[6]
-        if chi not in ("L", "R", "I", "E"):
+        x, y1, y2, h, h1, h2, chi, gamma, beta1, beta2 = parts
+        if chi not in _RULE_OF:
             raise TupleFormatError(f"bad rule letter {chi!r}")
         try:
-            nums = [int(p) for p in parts[:6] + parts[7:]]
+            rows.append(
+                TupleRow(
+                    int(x), int(y1), int(y2), int(h), int(h1), int(h2),
+                    chi, int(gamma), int(beta1), int(beta2),
+                )
+            )
         except ValueError as exc:
             raise TupleFormatError(f"bad row {ln!r}: {exc}") from exc
-        x, y1, y2, h, h1, h2, gamma, beta1, beta2 = nums
-        rows.append(TupleRow(x, y1, y2, h, h1, h2, chi, gamma, beta1, beta2))
 
     return TupleEncoding(a, b, tuple(table), tuple(rows), len(table) > a)

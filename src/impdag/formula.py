@@ -245,31 +245,33 @@ def parse_prefix(text: str) -> Formula:
 
     The stack holds ``None`` for each arrow still waiting for its left
     operand and the left operand of each arrow waiting for its right one.
+    Each distinct atom token is checked once per call, and an implication
+    already in the table is looked up without calling its constructor.
     """
     tokens = text.split()
     if not tokens:
         raise FormulaSyntaxError("empty input", 0)
+    atoms: dict[str, Atom] = {}
     stack: list[Formula | None] = []
-    i = 0
-    while True:
-        if i >= len(tokens):
-            raise FormulaSyntaxError("missing operand", i)
-        tok = tokens[i]
+    for i, tok in enumerate(tokens):
         if tok == ">":
             stack.append(None)
-            i += 1
             continue
-        if _ATOM_RE.fullmatch(tok) is None:
-            raise FormulaSyntaxError(f"bad atom {tok!r}", i)
-        value: Formula = Atom(tok)
-        i += 1
+        value: Formula | None = atoms.get(tok)
+        if value is None:
+            if _ATOM_RE.fullmatch(tok) is None:
+                raise FormulaSyntaxError(f"bad atom {tok!r}", i)
+            value = atoms[tok] = Atom(tok)
         while stack and stack[-1] is not None:
-            value = Implication(stack.pop(), value)
+            left = stack.pop()
+            value = _TABLE.get((left._tag, value._tag)) or Implication(left, value)
         if not stack:
             break
         stack[-1] = value
-    if i != len(tokens):
-        raise FormulaSyntaxError(f"unused token {tokens[i]!r}", i)
+    else:
+        raise FormulaSyntaxError("missing operand", len(tokens))
+    if i + 1 != len(tokens):
+        raise FormulaSyntaxError(f"unused token {tokens[i + 1]!r}", i + 1)
     return value
 
 

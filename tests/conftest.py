@@ -3,7 +3,6 @@ a seeded generator of compressed dags with separation nodes, and a
 corruptor of tuple encodings."""
 
 import random
-from dataclasses import replace
 
 from impdag.checker import TupleEncoding
 from impdag.deduction import Deduction, Node, Rule, Thread, build
@@ -154,29 +153,29 @@ def corrupt_encoding(rng: random.Random, t: TupleEncoding, condition: int) -> Tu
 
     if condition == 1:
         i = pick(lambda row: True)
-        rows[i] = replace(rows[i], x=t.b + 1)
+        rows[i] = rows[i]._replace(x=t.b + 1)
     elif condition == 2:
         i = pick(lambda row: row.y1 != 0)
-        rows[i] = replace(rows[i], y1=t.b + 1)
+        rows[i] = rows[i]._replace(y1=t.b + 1)
     elif condition == 3:
         i = pick(lambda row: row.h == 0)
-        rows[i] = replace(rows[i], h=1)
+        rows[i] = rows[i]._replace(h=1)
     elif condition == 4:
         i = pick(lambda row: row.chi == "L")
-        rows[i] = replace(rows[i], h1=1)
+        rows[i] = rows[i]._replace(h1=1)
     elif condition == 5:
         i = pick(lambda row: row.chi != "L")
-        rows[i] = replace(rows[i], h1=rows[i].h1 + 1)
+        rows[i] = rows[i]._replace(h1=rows[i].h1 + 1)
     elif condition == 6:
         i = pick(lambda row: row.chi == "R")
-        rows[i] = replace(rows[i], beta1=other_code(rows[i].beta1))
+        rows[i] = rows[i]._replace(beta1=other_code(rows[i].beta1))
     elif condition == 7:
         i = pick(lambda row: row.chi == "I")
         target = pick(lambda row: True)
-        rows[i] = replace(rows[i], y2=rows[target].x, h2=rows[i].h + 1)
+        rows[i] = rows[i]._replace(y2=rows[target].x, h2=rows[i].h + 1)
     elif condition == 8:
         i = pick(lambda row: row.chi == "E")
-        rows[i] = replace(rows[i], gamma=other_code(rows[i].gamma))
+        rows[i] = rows[i]._replace(gamma=other_code(rows[i].gamma))
     else:
         raise ValueError(f"no corruption strategy for condition {condition}")
-    return replace(t, rows=tuple(rows))
+    return t._replace(rows=tuple(rows))

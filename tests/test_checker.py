@@ -1,7 +1,5 @@
 """Local-correctness reports, the tuple encoding, and its text format."""
 
-import dataclasses
-
 import pytest
 
 from impdag.checker import (
@@ -175,6 +173,16 @@ class TestEncode:
         assert exc_info.value.report is not None
         assert not exc_info.value.report.ok
 
+    def test_rejects_unreachable_nodes(self):
+        # assembled by hand: build rejects unreachable nodes itself
+        nodes = {
+            1: mk(1, "a -> a", "I", 0, (2,)),
+            2: mk(2, "a", "LEAF", 1),
+            5: mk(5, "a", "LEAF", 1),
+        }
+        with pytest.raises(EncodingError, match="node 5 is unreachable"):
+            encode(Deduction(nodes, 1))
+
     def test_over_budget_flag(self):
         d = build(
             [
@@ -210,19 +218,33 @@ class TestDecode:
     def test_empty_rows(self):
         t = encode(identity_proof())
         with pytest.raises(DecodeError, match="root"):
-            decode(dataclasses.replace(t, rows=()))
+            decode(t._replace(rows=()))
 
     def test_dangling_formula_code(self):
         t = encode(identity_proof())
-        bad = dataclasses.replace(t.rows[0], gamma=9)
+        bad = t.rows[0]._replace(gamma=9)
         with pytest.raises(DecodeError, match="code 9"):
-            decode(dataclasses.replace(t, rows=(bad, t.rows[1])))
+            decode(t._replace(rows=(bad, t.rows[1])))
 
     def test_two_roots(self):
         t = encode(identity_proof())
-        extra = dataclasses.replace(t.rows[0], x=3)
+        extra = t.rows[0]._replace(x=3)
         with pytest.raises(DecodeError, match="height-0"):
-            decode(dataclasses.replace(t, rows=t.rows + (extra,)))
+            decode(t._replace(rows=t.rows + (extra,)))
+
+    def test_equal_duplicate_rows_are_one_node(self):
+        # Condition 1 allows equal rows with one id; check_tuples accepts them.
+        t = encode(make_diamond())
+        for i in range(len(t.rows)):
+            doubled = t._replace(rows=t.rows[: i + 1] + t.rows[i:])
+            assert check_tuples(doubled).ok
+            assert decode(doubled) == decode(t)
+
+    def test_conflicting_duplicate_rows(self):
+        t = encode(make_diamond())
+        clash = t.rows[3]._replace(gamma=2)
+        with pytest.raises(DecodeError, match="node 4: duplicate node id"):
+            decode(t._replace(rows=t.rows + (clash, t.rows[3])))
 
 
 class TestCheckTuples:
@@ -234,8 +256,8 @@ class TestCheckTuples:
 
     def _mutate(self, t, index, **changes):
         rows = list(t.rows)
-        rows[index] = dataclasses.replace(rows[index], **changes)
-        return dataclasses.replace(t, rows=tuple(rows))
+        rows[index] = rows[index]._replace(**changes)
+        return t._replace(rows=tuple(rows))
 
     def test_condition_0_bad_rule_letter(self):
         diamond_dag = make_diamond()
@@ -255,8 +277,8 @@ class TestCheckTuples:
     def test_condition_1_conflicting_duplicates(self):
         diamond_dag = make_diamond()
         t = encode(diamond_dag)
-        clash = dataclasses.replace(t.rows[2], x=t.rows[1].x)
-        t = dataclasses.replace(t, rows=t.rows + (clash,))
+        clash = t.rows[2]._replace(x=t.rows[1].x)
+        t = t._replace(rows=t.rows + (clash,))
         assert 1 in conditions(check_tuples(t))
 
     def test_condition_2_premise_formula_disagrees(self):
@@ -267,19 +289,19 @@ class TestCheckTuples:
     def test_condition_2_missing_premise_row(self):
         diamond_dag = make_diamond()
         t = encode(diamond_dag)
-        t = dataclasses.replace(t, rows=t.rows[:-1])  # drop the shared leaf
+        t = t._replace(rows=t.rows[:-1])  # drop the shared leaf
         assert 2 in conditions(check_tuples(t))
 
     def test_condition_3_no_root_row(self):
         diamond_dag = make_diamond()
         t = encode(diamond_dag)
-        t = dataclasses.replace(t, rows=t.rows[1:])  # drop the root
+        t = t._replace(rows=t.rows[1:])  # drop the root
         assert 3 in conditions(check_tuples(t))
 
     def test_condition_3_parentless_leaf(self):
         row = TupleRow(1, 0, 0, 0, 0, 0, "L", 1, 0, 0)
         t = encode(identity_proof())
-        t = dataclasses.replace(t, b=1, rows=(row,))
+        t = t._replace(b=1, rows=(row,))
         assert 3 in conditions(check_tuples(t))
 
     def test_condition_4_leaf_with_premise_slots(self):

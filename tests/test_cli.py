@@ -390,6 +390,18 @@ class TestEncodeDecode:
         assert code == 1
         assert "condition" in err
 
+    def test_decode_accepts_equal_duplicate_rows(self, tmp_path, capsys):
+        single = "2 2\n1\ta\n2\t> a a\n1 2 0 0 1 1 I 2 1 0\n2 0 0 1 0 0 L 1 0 0\n"
+        doubled = single + "2 0 0 1 0 0 L 1 0 0\n"
+        outputs = []
+        for name, text in (("single.txt", single), ("doubled.txt", doubled)):
+            table = tmp_path / name
+            table.write_text(text)
+            code, out, _ = run(["decode", str(table)], capsys)  # checks, then decodes
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_decode_rejects_garbage(self, tmp_path, capsys):
         table = tmp_path / "rows.txt"
         table.write_text("this is not a tuple table\n")

@@ -70,6 +70,34 @@ def test_parse_prefix_reports_arity_errors():
         parse_prefix("")
 
 
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("", "empty input", 0),
+        (">", "missing operand", 1),
+        ("> a", "missing operand", 2),
+        ("a b", "unused token 'b'", 1),
+        ("1x", "bad atom '1x'", 0),
+        ("> a 1x", "bad atom '1x'", 2),
+    ],
+)
+def test_parse_prefix_error_contract(text, message, position):
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_prefix(text)
+    assert str(err.value) == f"{message} (position {position})"
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("text, position", [("1x", 0), ("> a 1x", 2)])
+def test_parse_prefix_checks_names_already_in_the_table(text, position):
+    # The constructor does not check names, so "1x" can be interned; the
+    # parser must still reject it rather than find it in the table.
+    Atom("1x")
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_prefix(text)
+    assert str(err.value) == f"bad atom '1x' (position {position})"
+
+
 def test_to_infix_minimal_parentheses():
     assert to_infix(Implication(G, Implication(A, B))) == "g -> a -> b"
     assert to_infix(Implication(Implication(A, B), G)) == "(a -> b) -> g"

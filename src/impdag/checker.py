@@ -110,7 +110,7 @@ def check_local_correctness(d: Deduction) -> LCReport:
     root = d.node(d.root)
     if root.height != 0:
         flag("1b", root.id, "root height is not 0")
-    if d.parents[root.id]:
+    if any(root.id in n.children for n in d.nodes.values()):
         flag("1a", root.id, "root has a parent")
     if root.rule is Rule.LEAF:
         flag("3", root.id, "root is a leaf")

@@ -274,7 +274,10 @@ def proves_by_threads(d: Deduction, cap: int = DEFAULT_THREAD_CAP) -> bool | Ove
 
 def is_tree_like(d: Deduction) -> bool:
     """True when every node except the root has exactly one parent."""
-    return all(len(ps) == 1 for i, ps in d.parents.items() if i != d.root)
+    # Read off one flat list of child ids: the parent map sorts per node.
+    kids = [c for n in d.nodes.values() for c in n.children]
+    others = d.nodes.keys() - {d.root}
+    return len(kids) - kids.count(d.root) == len(others) and set(kids) - {d.root} == others
 
 
 def lay_out(root: object, expand: Callable, cap: int | None = None) -> Deduction | Overflow:

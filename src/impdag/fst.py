@@ -10,9 +10,15 @@ which commits one branch per separation edge and hands the result to
 
 ``check_fst`` and ``cleanse_via_fst`` read one prefix index, built in the
 walk that validates the threads: each distinct prefix gets an integer id
-keyed by (id of the prefix one node shorter, next node).  Ids, not tuple
-slices: a slice copies and hashes its whole prefix, quadratic in thread
-length; an id costs one dict lookup per node.
+keyed by the id of the prefix one node shorter and the next node.  Ids,
+not tuple slices: a slice copies and hashes its whole prefix, quadratic in
+thread length.  The walk works once per distinct prefix, not once per
+thread entry: it skips a thread's longest common prefix with the thread
+before it, found by bisection over slice comparisons, and each step reads
+a per-edge table giving the antecedent an I parent discharges and an E
+parent's other premise.  A thread is closed when its leaf formula is among
+the antecedents discharged along it; each new prefix leaving an E node
+records the key of the prefix taking the other premise instead.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from itertools import islice
 from typing import IO, Iterator
 
 from .assignment import Choice, prov
-from .deduction import Deduction, FormatError, Rule, Thread, is_closed, read_json, write_json
+from .deduction import Deduction, FormatError, Rule, Thread, read_json, write_json
+from .formula import Implication
 from .transform import s_eliminate
 
 __all__ = [
@@ -82,57 +89,114 @@ class CleansingError(ValueError):
 
 def _survey(
     d: Deduction, collection: ThreadSet
-) -> tuple[FstReport, dict[tuple[int, int], int], list[list[int]]]:
+) -> tuple[FstReport, dict[int, int], list[list[int]], dict[int, tuple[int, int, int]]]:
     """Validate and index ``collection`` in one walk, then evaluate it.
 
-    Returns the report, the prefix ids keyed by (id of the prefix one node
-    shorter, next node), and each thread's prefix ids, the root's id 0 first.
+    Returns the report; the prefix ids, keyed by (id of the prefix one node
+    shorter) * width + (position of the next node in ``d.nodes``); each
+    thread's prefix ids, the root's id 0 first; and, per prefix id whose
+    last step leaves an E node, that node, its other premise and the key of
+    the prefix taking that premise instead.
     """
+    nodes = d.nodes
+    width = len(nodes)
+    position = {i: k for k, i in enumerate(nodes)}
+    # Per parent, per child: the child's position, the antecedent an I
+    # parent discharges onto it, an E parent's other premise with its
+    # position, and the child's own table. A thread is closed when its leaf
+    # formula is among the antecedents discharged along it.
+    edges: dict[int, dict[int, tuple]] = {i: {} for i in nodes}
+    for n in nodes.values():
+        discharged = None
+        if n.rule is Rule.I and n.children:
+            f = n.formula
+            if isinstance(f, Implication) and f.consequent is nodes[n.children[0]].formula:
+                discharged = f.antecedent
+        out = edges[n.id]
+        for c in n.children:
+            other = other_at = None
+            if n.rule is Rule.E and len(n.children) == 2:
+                minor, major = n.children
+                other = major if minor == c else minor
+                other_at = position[other]
+            out[c] = (position[c], discharged, other, other_at, edges[c])
+
     listed = collection.threads
-    step: dict[tuple[int, int], int] = {}
+    step: dict[int, int] = {}
     paths: list[list[int]] = []
+    elims: dict[int, tuple[int, int, int]] = {}
     whole: set[int] = set()
+    covered: set[int] = set()
+    open_threads = []
+    prev: Thread = (d.root,)
+    path = [0]
+    held: list = []  # the antecedents discharged on each edge of prev
+    fresh = 0  # the last prefix id given out
     for th in listed:
         if not th or th[0] != d.root:
             raise ValueError(f"thread {th} does not start at the root")
-        pid, path, parent = 0, [0], d.nodes[th[0]]
-        for child in islice(th, 1, None):
-            if child not in parent.children:
-                raise ValueError(f"thread {th} uses a missing edge {parent.id}->{child}")
-            pid = step.setdefault((pid, child), len(step) + 1)
+        t = tuple(th)
+        # prev is valid and indexed in full, so its longest common prefix
+        # with t (at least the root) needs no work: find it by bisection.
+        k, hi = 1, min(len(t), len(prev))
+        while k < hi:
+            mid = (k + hi + 1) // 2
+            if t[:mid] == prev[:mid]:
+                k = mid
+            else:
+                hi = mid - 1
+        path = path[:k]
+        del held[k - 1 :]
+        pid, parent = path[-1], t[k - 1]
+        out = edges[parent]
+        for child in islice(t, k, None):
+            info = out.get(child)
+            if info is None:
+                raise ValueError(f"thread {th} uses a missing edge {parent}->{child}")
+            at, discharged, other, other_at, out = info
+            key = pid * width + at
+            pid = step.get(key)
+            if pid is None:
+                pid = step[key] = fresh = fresh + 1
+                if other is not None:
+                    elims[pid] = (parent, other, key - at + other_at)
             path.append(pid)
-            parent = d.nodes[child]
-        if parent.children:
+            held.append(discharged)
+            parent = child
+        if out:
             raise ValueError(f"thread {th} stops before reaching a leaf")
         # Maximal threads that share their last prefix id are equal.
         if pid in whole:
             raise ValueError(f"duplicate thread {th}")
         whole.add(pid)
         paths.append(path)
+        covered.update(t[k:])
+        if nodes[parent].formula not in held:
+            open_threads.append(th)
+        prev = t
 
-    uncovered = sorted(d.nodes.keys() - {th[0] for th in listed} - {n for _, n in step})
-    open_threads = [th for th in listed if not is_closed(d, th)]
-    unpaired = [
-        (th, node_id)
-        for th, path in zip(listed, paths)
-        for node_id, _, key in _eliminations(d, th, path)
-        if key not in step
-    ]
+    if listed:
+        covered.add(d.root)
+    uncovered = sorted(nodes.keys() - covered)
+    unpaired = []
+    if any(key not in step for _, _, key in elims.values()):
+        unpaired = [
+            (th, node_id)
+            for th, path in zip(listed, paths)
+            for node_id, _, key in _eliminations(path, elims)
+            if key not in step
+        ]
     witnesses = (*uncovered, *open_threads, *unpaired)
     report = FstReport(not uncovered, not open_threads, not unpaired, witnesses)
-    return report, step, paths
+    return report, step, paths, elims
 
 
 def _eliminations(
-    d: Deduction, th: Thread, path: list[int]
-) -> Iterator[tuple[int, int, tuple[int, int]]]:
-    """Each E node on ``th``, its premise off ``th``, and the key of the prefix taking it."""
-    for i in range(len(th) - 1):
-        node = d.nodes[th[i]]
-        if node.rule is Rule.E:
-            minor, major = node.children
-            other = major if minor == th[i + 1] else minor
-            yield th[i], other, (path[i], other)
+    path: list[int], elims: dict[int, tuple[int, int, int]]
+) -> list[tuple[int, int, int]]:
+    """Each E node on the thread of ``path``, its premise off the thread,
+    and the key of the prefix taking that premise, in thread order."""
+    return [elims[pid] for pid in path if pid in elims]
 
 
 def check_fst(d: Deduction, collection: ThreadSet) -> FstReport:
@@ -157,7 +221,7 @@ def cleanse_via_fst(d: Deduction, collection: ThreadSet) -> tuple[Choice, Deduct
     FstError when the set fails a fundamental-set condition and
     CleansingError when no pairing thread agrees with the commitments.
     """
-    report, step, paths = _survey(d, collection)
+    report, step, paths, elims = _survey(d, collection)
     if not report.is_fst:
         names = ("density", "closure", "elimination preservation")
         flags = (report.dense, report.all_closed, report.e_preserving)
@@ -193,7 +257,7 @@ def cleanse_via_fst(d: Deduction, collection: ThreadSet) -> tuple[Choice, Deduct
         retain(0)
         while queue:
             pos = queue.popleft()
-            for node_id, other, key in _eliminations(d, listed[pos], paths[pos]):
+            for node_id, other, key in _eliminations(paths[pos], elims):
                 pid = step[key]
                 if pid in reached:
                     continue

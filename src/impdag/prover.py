@@ -153,22 +153,28 @@ def _search(
 def _replace(tree: Tree, hypothesis: Formula, proof: Tree) -> Tree:
     """Substitute a proof for every open leaf carrying hypothesis; each
     distinct subtree is rewritten once, and one without such a leaf is
-    returned as it is."""
+    returned as it is. Runs on an explicit stack, children before their
+    parent, so the depth of ``tree`` costs no Python frames."""
     done: dict[int, Tree] = {}
-
-    def walk(t: Tree) -> Tree:
-        out = done.get(id(t))
-        if out is None:
-            formula, rule, children = t
-            if rule is Rule.LEAF:
-                out = proof if formula is hypothesis else t
-            else:
-                new = tuple([walk(c) for c in children])
-                out = t if all(a is b for a, b in zip(new, children)) else (formula, rule, new)
-            done[id(t)] = out
-        return out
-
-    return walk(tree)
+    stack = [tree]
+    while stack:
+        t = stack[-1]
+        if id(t) in done:
+            stack.pop()
+            continue
+        formula, rule, children = t
+        if rule is Rule.LEAF:
+            done[id(t)] = proof if formula is hypothesis else t
+            stack.pop()
+            continue
+        pending = [c for c in children if id(c) not in done]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        new = tuple([done[id(c)] for c in children])
+        done[id(t)] = t if all(a is b for a, b in zip(new, children)) else (formula, rule, new)
+    return done[id(tree)]
 
 
 def _expand(item: tuple[Tree, int]):

@@ -100,6 +100,11 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
     one merge layer have pairwise distinct formulas; a representative
     whose originals disagree on how they were concluded is a separation
     node over one dispatcher per premise group.
+
+    The image is walked depth first over (class, height) items, and a
+    unary chain of items, such as a padding chain, is one step: its image
+    ids are listed once per item that starts it, so the walk takes one
+    step per branch of the padded tree, not one per padded node.
     """
     if not is_tree_like(t):
         raise ValueError("compress() expects a tree-like deduction")
@@ -162,18 +167,35 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
     out = renumber(out, mapping)
 
     # Depth first in stored child order over (class, height) items, which
-    # walks the padded tree as threads() lists it. path is the image of the
-    # thread so far; an item at height h keeps its first 2h entries.
+    # walks the padded tree as threads() lists it. A unary chain of items is
+    # one step: chain(c, h) gives the image ids from item (c, h) down to the
+    # next item that branches or is a leaf, with that item's children and
+    # height. path is the image of the thread so far; an item at height h
+    # keeps its first 2h entries.
+    def chain(c: int, h: int) -> tuple[list[int], tuple[int, ...], int]:
+        ids = []
+        while True:
+            children = levels[h][c][1]
+            ids.append(mapping[rep[h, c]])
+            if children:
+                ids.append(mapping[disp[h, c]])
+            if len(children) != 1:
+                return ids, children, h
+            c, h = children[0], h + 1
+
+    chains: dict[tuple[int, int], tuple[list[int], tuple[int, ...], int]] = {}
     images: dict[Thread, None] = {}
     path: list[int] = []
     stack = [(class_of[t.root], 0)]
     while stack:
-        c, h = stack.pop()
-        del path[2 * h :]
-        path.append(mapping[rep[h, c]])
-        children = levels[h][c][1]
+        item = stack.pop()
+        got = chains.get(item)
+        if got is None:
+            got = chains[item] = chain(*item)
+        ids, children, h = got
+        del path[2 * item[1] :]
+        path += ids
         if children:
-            path.append(mapping[disp[h, c]])
             stack.extend((k, h + 1) for k in reversed(children))
         else:
             images[tuple(path)] = None

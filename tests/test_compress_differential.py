@@ -3,7 +3,8 @@ the per-node body it replaced, which needed a leveled tree. Both ``compress(t)``
 and ``compress(level(t))`` must give the reference's dag and thread image for
 ``level(t)``, on the prover's corpus and family trees, on seeded trees closed
 by an introduction chain, and on unfolded dags with separation nodes, whole
-and with subtrees cut off."""
+and with subtrees cut off. The sizes of the compressed family proofs are
+pinned to their closed forms."""
 
 import random
 
@@ -159,10 +160,17 @@ def check(tree, seen):
 
 def test_prover_trees_match_the_reference():
     seen = {"unleveled": 0, "s_in": 0, "s_out": 0}
-    names = [parse_infix(text) for text in CORPUS] + [family(n) for n in range(1, 6)]
+    names = [parse_infix(text) for text in CORPUS] + [family(n) for n in range(1, 7)]
     for f in names:
         check(prove(f), seen)
     assert seen["unleveled"], seen
+
+
+def test_family_sizes_follow_their_closed_forms():
+    for n in range(1, 8):
+        dag, image = compress(prove(family(n)))
+        assert len(dag.nodes) == 19 * n * n - 2 * n + 3
+        assert len(image) == (4 ** (n + 1) - 1) // 3
 
 
 def test_closed_random_trees_match_the_reference():

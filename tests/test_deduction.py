@@ -4,7 +4,9 @@ import json
 import pytest
 
 from conftest import diamond_dag, mk, sep_proof_dag, sep_stuck_dag
+from impdag.checker import check_local_correctness
 from impdag.deduction import (
+    Deduction,
     FormatError,
     Node,
     Overflow,
@@ -118,6 +120,38 @@ def test_single_node_dag_has_one_thread():
 def test_tree_likeness():
     assert not is_tree_like(diamond_dag())
     assert is_tree_like(sep_proof_dag())
+
+
+def hand_assembled():
+    """Node sets assembled directly, past build()'s checks: an unreachable
+    node, two-parent nodes, parented roots and a root that is its own child."""
+    a, b = parse_infix("a"), parse_infix("b")
+
+    def nodes(*specs):
+        return {i: Node(i, a, Rule[rule], 0, tuple(kids)) for i, rule, kids in specs}
+
+    return [
+        Deduction(nodes((1, "I", [2]), (2, "LEAF", [])), 1),
+        Deduction(nodes((1, "I", [2]), (2, "LEAF", []), (3, "LEAF", [])), 1),
+        Deduction(nodes((1, "E", [2, 3]), (2, "R", [4]), (3, "R", [4]), (4, "LEAF", [])), 1),
+        Deduction(nodes((1, "E", [2, 2]), (2, "LEAF", [])), 1),
+        Deduction(nodes((1, "R", [2]), (2, "R", [1])), 1),
+        Deduction(nodes((1, "I", [2]), (2, "LEAF", []), (3, "R", [1])), 1),
+        Deduction(nodes((1, "R", [1])), 1),
+        Deduction({7: Node(7, b, Rule.LEAF, 0)}, 7),
+    ]
+
+
+def test_tree_likeness_matches_the_parent_map_definition():
+    answers = []
+    for d in hand_assembled() + [diamond_dag(), sep_proof_dag(), sep_stuck_dag()]:
+        parented = bool(d.parents[d.root])
+        want = all(len(ps) == 1 for i, ps in d.parents.items() if i != d.root)
+        assert is_tree_like(d) == want
+        flagged = ("1a", d.root, "root has a parent") in check_local_correctness(d).violations
+        assert flagged == parented
+        answers.append((want, parented))
+    assert set(answers) == {(True, False), (False, False), (True, True), (False, True)}
 
 
 def test_canonical_renumbers_breadth_first():

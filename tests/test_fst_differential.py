@@ -1,8 +1,11 @@
 """The prefix-id ``check_fst`` and ``cleanse_via_fst`` against a
 reference that indexes thread prefixes as tuple slices, on generated
-separation dags and four thread sets per dag."""
+separation dags with four thread sets per dag, on thread sets whose threads
+share prefixes with their predecessors in every way the shared-prefix walk
+distinguishes (also with threads given as lists), and on the family images."""
 
 import random
+import re
 from collections import Counter, deque
 
 from impdag.assignment import prov
@@ -15,7 +18,8 @@ from impdag.fst import (
     check_fst,
     cleanse_via_fst,
 )
-from impdag.transform import s_eliminate
+from impdag.prover import family, prove
+from impdag.transform import compress, s_eliminate
 
 from conftest import random_separation_dag
 
@@ -157,6 +161,77 @@ def report_fields(report):
     return report.dense, report.all_closed, report.e_preserving, report.witnesses
 
 
+def as_given(value, threads):
+    """A reference result for the tuple form of ``threads``, with each
+    thread given as a list shown as that list, as check_fst shows it."""
+    given = {tuple(th): th for th in threads}
+    if isinstance(value, str):
+        for th in threads:
+            pattern = re.escape(f"thread {tuple(th)}") + "(?= |$)"
+            value = re.sub(pattern, lambda _: f"thread {th}", value)
+        return value
+
+    def witness(w):
+        if isinstance(w, tuple) and w in given:
+            return given[w]
+        if isinstance(w, tuple) and len(w) == 2 and isinstance(w[0], tuple):
+            return given[w[0]], w[1]
+        return w
+
+    dense, all_closed, e_preserving, witnesses = value
+    return dense, all_closed, e_preserving, tuple(map(witness, witnesses))
+
+
+def compare(dag, threads):
+    """check_fst and cleanse_via_fst on ``threads`` against the references
+    on the same threads as tuples; the kind of the cleansing outcome."""
+    collection = ThreadSet(tuple(threads))
+    as_tuples = ThreadSet(tuple(map(tuple, threads)))
+    kind, got = outcome(check_fst, dag, collection)
+    ref_kind, want = outcome(reference_check_fst, dag, as_tuples)
+    assert kind == ref_kind, threads
+    if kind == "ok":
+        assert report_fields(got) == as_given(report_fields(want), threads)
+    else:
+        assert got == as_given(want, threads)
+
+    kind, got = outcome(cleanse_via_fst, dag, collection)
+    ref_kind, want = outcome(reference_cleanse_via_fst, dag, as_tuples)
+    assert kind == ref_kind, threads
+    if kind == "ok":
+        assert got[0] == want[0]
+        assert to_dict(got[1]) == to_dict(want[1])
+    else:
+        assert got == as_given(want, threads)
+    return kind
+
+
+def shared_prefix_sets(dag, image):
+    """Thread sets in which a thread shares a prefix with its predecessor
+    in each way the shared-prefix walk has to get right."""
+    first, last = image[0], image[-1]
+    longest = max(image, key=len)
+    mid = len(longest) // 2
+
+    def foreign(parent):
+        """A node that is not a child of ``parent``."""
+        return next(i for i in sorted(dag.nodes) if i not in dag.node(parent).children)
+
+    return [
+        (first, last, last),  # equal to its predecessor
+        (*image, image[0]),
+        (longest, longest[:-1]),  # a strict prefix of its predecessor
+        (longest, longest[:1]),
+        (first, first + (first[-1],)),  # continuing past its predecessor's leaf
+        (longest, longest[:-1] + (foreign(longest[-2]),)),  # a foreign edge late
+        (longest, longest[:mid] + (foreign(longest[mid - 1]),) + longest[mid + 1 :]),
+        (first, ()),  # an empty thread
+        ((),),
+        (),
+        image[::-1],
+    ]
+
+
 def test_prefix_index_matches_slice_reference():
     seen = Counter()
     dags = 0
@@ -166,26 +241,35 @@ def test_prefix_index_matches_slice_reference():
             continue
         dag, image = made
         for threads in thread_sets(seed, image):
-            collection = ThreadSet(threads)
-            kind, got = outcome(check_fst, dag, collection)
-            ref_kind, want = outcome(reference_check_fst, dag, collection)
-            assert kind == ref_kind
-            if kind == "ok":
-                assert report_fields(got) == report_fields(want)
-            else:
-                assert got == want
-
-            kind, got = outcome(cleanse_via_fst, dag, collection)
-            ref_kind, want = outcome(reference_cleanse_via_fst, dag, collection)
-            assert kind == ref_kind, (seed, threads)
-            if kind == "ok":
-                assert got[0] == want[0]
-                assert to_dict(got[1]) == to_dict(want[1])
-            else:
-                assert got == want
-            seen[kind] += 1
+            seen[compare(dag, threads)] += 1
         dags += 1
         if dags == 60:
             break
     assert dags == 60
     assert set(seen) == {"ok", "FstError", "CleansingError", "ValueError"}, seen
+
+
+def test_shared_prefix_edge_cases_match_slice_reference():
+    seen = Counter()
+    dags = 0
+    for seed in range(1000):
+        made = random_separation_dag(seed)
+        if made is None:
+            continue
+        dag, image = made
+        sets = shared_prefix_sets(dag, image) + thread_sets(seed, image)
+        for threads in sets:
+            seen[compare(dag, threads)] += 1
+            seen["lists", compare(dag, [list(th) for th in threads])] += 1
+        dags += 1
+        if dags == 20:
+            break
+    assert dags == 20
+    kinds = {"ok", "FstError", "CleansingError", "ValueError"}
+    assert set(seen) == kinds | {("lists", kind) for kind in kinds}, seen
+
+
+def test_family_images_match_slice_reference():
+    for n in range(1, 6):
+        dag, image = compress(prove(family(n)))
+        assert compare(dag, image) == compare(dag, image[::-1]) == "ok"

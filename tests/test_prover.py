@@ -1,6 +1,7 @@
 """Proof search, the validity oracle, and the benchmark family."""
 
 import itertools
+import sys
 
 import pytest
 
@@ -15,6 +16,8 @@ from impdag.prover import (
     oracle_valid,
     prove,
 )
+
+from test_prover_differential import chain
 
 S_COMBINATOR = "(a -> b -> g) -> (a -> b) -> a -> g"
 PEIRCE = "((a -> b) -> a) -> a"
@@ -101,6 +104,22 @@ class TestProve:
         assert cold == "depth"
         assert prove(family(3)) is not None
         assert budgeted() == cold
+
+    def test_long_chain_fits_a_small_stack(self):
+        # From the top of a fresh interpreter, prove(chain(199)) needs a
+        # recursion limit of 404: about two frames per search level, none
+        # per level of the substituted trees. 450 frames above the caller
+        # leave a margin; a substitution that recursed needed about 600.
+        frames, frame = 0, sys._getframe()
+        while frame is not None:
+            frames, frame = frames + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frames + 450)
+        try:
+            d = prove(chain(199))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert d is not None and prov(d)
 
 
 class TestOracle:

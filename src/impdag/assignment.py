@@ -37,11 +37,10 @@ any formula sets.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import IO, Union as TypingUnion
 
-from .deduction import Deduction, FormatError, Node, Rule, read_json, write_json
+from .deduction import Deduction, FormatError, Node, Record, Rule, read_json, write_json
 from .formula import Formula, Implication, formula_key, is_implication
 
 __all__ = [
@@ -77,10 +76,10 @@ Choice = dict[tuple[int, int], int]
 SetValue = frozenset  # of Formula
 
 
-@dataclass(frozen=True)
-class SepValue:
+class SepValue(Record):
     """A separation combination whose branches are themselves values."""
 
+    __slots__ = ("node", "branches")
     node: int
     branches: tuple["Value", ...]
 

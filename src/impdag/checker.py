@@ -107,26 +107,29 @@ def check_local_correctness(d: Deduction) -> LCReport:
     def flag(condition: int | str, node: int | None, message: str) -> None:
         violations.append(Violation(condition, node, message))
 
-    root = d.node(d.root)
+    nodes = d.nodes
+    root = nodes[d.root]
     if root.height != 0:
         flag("1b", root.id, "root height is not 0")
-    if any(root.id in n.children for n in d.nodes.values()):
+    if any(root.id in n.children for n in nodes.values()):
         flag("1a", root.id, "root has a parent")
     if root.rule is Rule.LEAF:
         flag("3", root.id, "root is a leaf")
 
-    for n in sorted(d.nodes.values(), key=lambda n: n.id):
+    # Node order is free: the final stable sort by (condition, node) puts
+    # the report in order, and each node's own violations keep theirs.
+    for n in nodes.values():
         if n.rule is Rule.LEAF and n.children:
             flag("1a", n.id, "leaf has children")
         for c in n.children:
-            if d.node(c).height != n.height + 1:
+            if nodes[c].height != n.height + 1:
                 flag("1c", n.id, f"child {c} is not one level up")
         if n.rule is Rule.R:
-            if len(n.children) == 1 and d.node(n.children[0]).formula != n.formula:
+            if len(n.children) == 1 and nodes[n.children[0]].formula != n.formula:
                 flag("2a", n.id, "repetition child formula differs")
         elif n.rule is Rule.I:
             if len(n.children) == 1:
-                child = d.node(n.children[0])
+                child = nodes[n.children[0]]
                 ok = (
                     isinstance(n.formula, Implication)
                     and n.formula.consequent == child.formula
@@ -135,14 +138,14 @@ def check_local_correctness(d: Deduction) -> LCReport:
                     flag("2b", n.id, "conclusion does not introduce onto the child formula")
         elif n.rule is Rule.E:
             if len(n.children) == 2:
-                y, z = (d.node(c) for c in n.children)
+                y, z = (nodes[c] for c in n.children)
                 straight = is_implication(z.formula, y.formula, n.formula)
                 swapped = is_implication(y.formula, z.formula, n.formula)
                 if not (straight or swapped):
                     flag("2c", n.id, "no premise is the other premise arrow the conclusion")
         elif n.rule is Rule.S:
             for c in n.children:
-                ch = d.node(c)
+                ch = nodes[c]
                 if ch.formula != n.formula:
                     flag("2d", n.id, f"separation child {c} changes the formula")
                 if ch.rule is Rule.S:

@@ -8,6 +8,11 @@ artifact-writing options accept "-" for stdout.
 Exit status: 0 positive outcome, 1 negative verdict (not proving, not
 provable, a failed check, a cleansing that found no consistent pairing),
 2 malformed or unusable input, 3 a resource cap was hit.
+
+Every command runs in a fresh process, so start-up is part of each stage's
+time. Module level therefore imports only ``formula`` and ``deduction``, which
+every command uses; each handler imports the rest of what it runs, in the
+branch that runs it.
 """
 
 from __future__ import annotations
@@ -19,26 +24,9 @@ import sys
 import time
 
 from . import DAG_FORMAT_VERSION, TUPLE_FORMAT_VERSION, __version__
-from .assignment import (
-    ChoiceError,
-    load_choice,
-    prov,
-    prov1,
-    save_choice,
-    search_choice,
-)
-from .checker import (
-    DecodeError,
-    EncodingError,
-    TupleFormatError,
-    check_local_correctness,
-    check_tuples,
-    decode,
-    encode,
-    parse_tuples,
-    render_tuples,
-)
 from .deduction import (
+    DEFAULT_NODE_CAP,
+    DEFAULT_ORACLE_WEIGHT,
     DEFAULT_THREAD_CAP,
     Deduction,
     FormatError,
@@ -53,24 +41,6 @@ from .deduction import (
     write_text,
 )
 from .formula import Formula, FormulaSyntaxError, parse_infix, to_infix, weight
-from .fst import (
-    CleansingError,
-    FstError,
-    ThreadSet,
-    check_fst,
-    cleanse_via_fst,
-    load_threads,
-    save_threads,
-)
-from .prover import (
-    DEFAULT_ORACLE_WEIGHT,
-    OracleBoundError,
-    ResourceLimitError,
-    family,
-    oracle_valid,
-    prove,
-)
-from .transform import DEFAULT_NODE_CAP, compress, level, s_eliminate, unfold
 
 OK = 0
 NEGATIVE = 1
@@ -107,6 +77,7 @@ def _load_dag(path: str) -> Deduction:
 def _load_correct_dag(path: str) -> Deduction:
     """A deduction for the deciders, which assume local correctness; any
     violation is malformed input, reported by its first condition."""
+    from .checker import check_local_correctness
     d = _load_dag(path)
     violations = check_local_correctness(d).violations
     if violations:
@@ -159,6 +130,7 @@ def _print_violations(violations, stream) -> None:
 
 
 def _cmd_check(args) -> int:
+    from .checker import EncodingError, check_local_correctness, check_tuples, encode
     d = _load_dag(args.dag)
     if args.tuples:
         try:
@@ -179,6 +151,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_prov(args) -> int:
+    from .assignment import prov, prov1
     d = _load_correct_dag(args.dag)
     if any(n.rule is Rule.S for n in d.nodes.values()):
         print("not proving")
@@ -199,6 +172,7 @@ def _cmd_prov(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .assignment import save_choice, search_choice
     d = _load_correct_dag(args.dag)
     choice = search_choice(d)
     if choice is None:
@@ -210,6 +184,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_prove(args) -> int:
+    from .prover import ResourceLimitError, prove
     f = _parse_formula(args.formula)
     try:
         d = prove(f)
@@ -225,6 +200,7 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .prover import OracleBoundError, oracle_valid
     f = _parse_formula(args.formula)
     try:
         verdict = oracle_valid(f, bound=args.bound)
@@ -236,6 +212,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_compress(args) -> int:
+    from .transform import compress
     d = _load_dag(args.tree)
     if not is_tree_like(d):
         raise CliError(MALFORMED, "compress needs a tree-like deduction; 'unfold' produces one")
@@ -245,6 +222,7 @@ def _cmd_compress(args) -> int:
         raise CliError(MALFORMED, str(exc)) from exc
     _write(lambda t: save_deduction(dag, t), args.out, "compressed dag")
     if args.threads_out:
+        from .fst import ThreadSet, save_threads
         _write(lambda t: save_threads(ThreadSet(image), t), args.threads_out, "image threads")
     _note(
         f"{len(d.nodes)} tree node(s) down to {len(dag.nodes)};"
@@ -254,6 +232,7 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_unfold(args) -> int:
+    from .transform import unfold
     d = _load_dag(args.dag)
     result = unfold(d, _cap(args.cap, DEFAULT_NODE_CAP))
     if isinstance(result, Overflow):
@@ -269,6 +248,7 @@ def _cmd_cleanse(args) -> int:
     if d.node(d.root).rule is Rule.S:
         raise CliError(MALFORMED, "the root is a separation node; nothing discharges it")
     if args.fst:
+        from .fst import CleansingError, FstError, cleanse_via_fst, load_threads
         collection = _load(args.fst, load_threads, "thread collection")
         try:
             choice, cleansed = cleanse_via_fst(d, collection)
@@ -281,6 +261,8 @@ def _cmd_cleanse(args) -> int:
         except ValueError as exc:
             raise CliError(MALFORMED, str(exc)) from exc
     else:
+        from .assignment import ChoiceError, load_choice, prov, search_choice
+        from .transform import s_eliminate
         if args.search:
             maybe = search_choice(d)
             if maybe is None:
@@ -305,6 +287,7 @@ def _cmd_cleanse(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    from .checker import EncodingError, encode, render_tuples
     d = _load_dag(args.dag)
     try:
         t = encode(d)
@@ -320,6 +303,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    from .checker import DecodeError, TupleFormatError, check_tuples, decode, parse_tuples
     text = _load(args.tuples, read_text, "tuple table")
     try:
         t = parse_tuples(text)
@@ -339,6 +323,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_fst_check(args) -> int:
+    from .fst import check_fst, load_threads
     d = _load_correct_dag(args.dag)
     collection = _load(args.threads, load_threads, "thread collection")
     try:
@@ -356,6 +341,9 @@ def _cmd_fst_check(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .fst import CleansingError, FstError, ThreadSet, cleanse_via_fst
+    from .prover import family, prove
+    from .transform import compress, level
     cap = args.max
     print("n  weight  tree  leveled  dag  cleansed  prove_s  compress_s  cleanse_s")
     for n in range(1, args.family + 1):

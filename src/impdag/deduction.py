@@ -29,9 +29,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import IO, Callable, Iterable, Mapping
 
 from .formula import Formula, FormulaSyntaxError, is_implication, parse_infix, to_infix
@@ -65,6 +63,10 @@ __all__ = [
 ]
 
 DEFAULT_THREAD_CAP = 100_000
+# The defaults of ``transform`` and ``prover``, kept here so that the command
+# line parser can show them without importing either module.
+DEFAULT_NODE_CAP = 100_000
+DEFAULT_ORACLE_WEIGHT = 80
 
 Thread = tuple[int, ...]
 
@@ -108,10 +110,53 @@ class Node:
         return f"Node({id=}, {formula=}, {rule=}, {height=}, {children=})"
 
 
-@dataclass(frozen=True)
-class Overflow:
+class Record:
+    """Base of the immutable records that stand in for frozen dataclasses.
+    The fields are the ``__slots__`` in constructor order, less those named
+    with a leading underscore, which hold caches; equality, hashing,
+    ``repr``, copying and pickling go by the fields alone."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__match_args__
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Overflow(Record):
     """First-class result for enumerations that exceeded their cap."""
 
+    __slots__ = ("cap",)
     cap: int
 
 
@@ -134,22 +179,28 @@ class FormatError(ValueError):
     """An artifact file that is not UTF-8, not JSON, or not in its format."""
 
 
-@dataclass(frozen=True)
-class Deduction:
+class Deduction(Record):
+    """A node map and its root id; unhashable, as the map is a dict."""
+
+    __slots__ = ("nodes", "root", "_parents")
     nodes: dict[int, Node]
     root: int
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
 
-    @cached_property
+    @property
     def parents(self) -> dict[int, tuple[int, ...]]:
-        """Parent ids per node, in ascending parent id order."""
-        acc: dict[int, list[int]] = {i: [] for i in self.nodes}
-        for n in self.nodes.values():
-            for c in n.children:
-                acc[c].append(n.id)
-        return {i: tuple(sorted(ps)) for i, ps in acc.items()}
+        """Parent ids per node, in ascending parent id order; computed once."""
+        parents = getattr(self, "_parents", None)
+        if parents is None:
+            acc: dict[int, list[int]] = {i: [] for i in self.nodes}
+            for n in self.nodes.values():
+                for c in n.children:
+                    acc[c].append(n.id)
+            parents = {i: tuple(sorted(ps)) for i, ps in acc.items()}
+            object.__setattr__(self, "_parents", parents)
+        return parents
 
     def height(self) -> int:
         return max(n.height for n in self.nodes.values())

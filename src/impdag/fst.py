@@ -24,12 +24,11 @@ records the key of the prefix taking the other premise instead.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from itertools import islice
 from typing import IO, Iterator
 
 from .assignment import Choice, prov
-from .deduction import Deduction, FormatError, Rule, Thread, read_json, write_json
+from .deduction import Deduction, FormatError, Record, Rule, Thread, read_json, write_json
 from .formula import Implication
 from .transform import s_eliminate
 
@@ -45,19 +44,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ThreadSet:
+class ThreadSet(Record):
     """An ordered collection of maximal root-to-leaf threads.
 
     Order matters: cleansing seeds from the first thread and scans
     pairing candidates in stored order.
     """
 
+    __slots__ = ("threads",)
     threads: tuple[Thread, ...]
 
 
-@dataclass(frozen=True)
-class FstReport:
+class FstReport(Record):
     """Outcome of the three fundamental-set conditions.
 
     witnesses collects the offenders: uncovered node ids for density,
@@ -65,6 +63,7 @@ class FstReport:
     preservation.
     """
 
+    __slots__ = ("dense", "all_closed", "e_preserving", "witnesses")
     dense: bool
     all_closed: bool
     e_preserving: bool

@@ -22,7 +22,7 @@ from bisect import insort
 
 from .assignment import prov
 from .checker import check_local_correctness
-from .deduction import Deduction, Overflow, Rule, is_tree_like, lay_out
+from .deduction import DEFAULT_ORACLE_WEIGHT, Deduction, Overflow, Rule, is_tree_like, lay_out
 from .formula import Atom, Formula, Implication, formula_key, weight
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
 
 DEFAULT_MAX_DEPTH = 400
 DEFAULT_MAX_NODES = 500_000
-DEFAULT_ORACLE_WEIGHT = 80
 
 # Antecedent copies in each benchmark clause; four makes tree proofs
 # overtake the compressed dag by n=3 while keeping level() affordable.

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from collections import deque
 
-from .assignment import Choice, ChoiceError
 from .checker import check_local_correctness
 from .deduction import (
+    DEFAULT_NODE_CAP,
     Deduction,
     Node,
     Overflow,
@@ -47,8 +47,6 @@ __all__ = [
     "compress",
     "s_eliminate",
 ]
-
-DEFAULT_NODE_CAP = 100_000
 
 
 def unfold(d: Deduction, cap: int = DEFAULT_NODE_CAP) -> Deduction | Overflow:
@@ -202,7 +200,7 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
     return out, tuple(images)
 
 
-def s_eliminate(d: Deduction, choice: Choice) -> Deduction:
+def s_eliminate(d: Deduction, choice: dict[tuple[int, int], int]) -> Deduction:
     """Commit each separation edge to its chosen branch and drop the rest.
 
     Every separation node turns into one repetition node per distinct
@@ -214,6 +212,8 @@ def s_eliminate(d: Deduction, choice: Choice) -> Deduction:
     result can exceed the input in size when commitments diverge; with
     agreeing parents it never grows.
     """
+    from .assignment import ChoiceError
+
     root = d.node(d.root)
     if root.rule is Rule.S:
         raise ValueError("root is a separation node; no edge commits its branch")

@@ -10,17 +10,18 @@ separation-free deductions the terms evaluate to plain formula sets and
     the deduction proves its root formula  iff  A(root) = ∅.
 
 A deduction with separation nodes instead needs a branch commitment. The
-commitment is per edge: each parent arriving at a separation node picks one
-branch, so a shared separation node may serve different branches to
+commitment is per edge: each parent arriving at a separation node picks
+one branch, so a shared separation node may serve different branches to
 different parents (the tree-unfolded picture resolves each occurrence on
 its own). ``search_choice`` looks for a commitment making the root value
 empty by depth-first backtracking over the edges (Davis, Logemann and
-Loveland, 1962). It abandons a partial commitment as soon as the root value
-is non-empty with every undecided edge read as ∅: deciding an edge only adds
-paths to leaves, so that value is contained in the value of every
-completion, and no certificate is cut off. The search stays exponential in
-the number of separation edges in the worst case; deciding whether a
-certificate exists is PSPACE-hard in general (Statman, 1979).
+Loveland, 1962), their parents in the breadth-first numbering that
+``canonical`` gives. It abandons a partial commitment as soon as the root
+value is non-empty with every undecided edge read as ∅: deciding an edge
+only adds paths to leaves, so that value is contained in the value of
+every completion, and no certificate is cut off. The search stays
+exponential in the number of separation edges in the worst case; deciding
+whether a certificate exists is PSPACE-hard in general (Statman, 1979).
 
 ``evaluate``, ``prov`` and the search share one evaluation core: the dag is
 compiled once per call into steps over bit sets of leaf formulas, with the
@@ -40,7 +41,8 @@ from collections import deque
 from operator import attrgetter
 from typing import IO, Union as TypingUnion
 
-from .deduction import Deduction, FormatError, Node, Record, Rule, read_json, write_json
+from .deduction import Deduction, FormatError, Node, Record, Rule, canonical_map
+from .deduction import read_json, write_json
 from .formula import Formula, Implication, formula_key, is_implication
 
 __all__ = [
@@ -134,14 +136,10 @@ def evaluate(d: Deduction, choice: Choice) -> dict[int, SetValue]:
     into a separation node; entries for other keys are ignored.
     """
     program = _Program(d)
-    picks = []
-    for key, branches in zip(program.edges, program.branches):
-        if key not in choice:
-            raise ChoiceError(f"no branch chosen for edge {key}")
-        index = choice[key]
-        if not 1 <= index <= len(branches):
-            raise ChoiceError(f"edge {key}: branch {index} out of range 1..{len(branches)}")
-        picks.append(branches[index - 1])
+    picks = [
+        branches[_committed_branch(choice, key, len(branches)) - 1]
+        for key, branches in zip(program.edges, program.branches)
+    ]
     sets: dict[int, SetValue] = {}
     vals = {}
     for x, bits in zip(program.ids, program.run(picks)[1:]):
@@ -149,6 +147,17 @@ def evaluate(d: Deduction, choice: Choice) -> dict[int, SetValue]:
             sets[bits] = frozenset(f for k, f in enumerate(program.formulas) if bits >> k & 1)
         vals[x] = sets[bits]
     return vals
+
+
+def _committed_branch(choice: Choice, key: tuple[int, int], count: int) -> int:
+    """The branch index that ``choice`` commits edge ``key`` to, one of the
+    ``count`` branches of its separation node; raises ChoiceError otherwise."""
+    if key not in choice:
+        raise ChoiceError(f"no branch chosen for edge {key}")
+    index = choice[key]
+    if not 1 <= index <= count:
+        raise ChoiceError(f"edge {key}: branch {index} out of range 1..{count}")
+    return index
 
 
 def prov(d: Deduction) -> bool:
@@ -194,24 +203,27 @@ def _reach_without_discharge(d: Deduction, phi: Formula) -> set[int]:
 def search_choice(d: Deduction) -> Choice | None:
     """Least branch commitment emptying the root value, if any.
 
-    Edges into separation nodes are ordered by breadth-first discovery
-    from the root and decided in that order, branch indices ascending, so
-    the first hit is the lexicographically least certificate in that edge
-    order. A partial commitment is abandoned as soon as the root value is
-    non-empty with the undecided edges read as ∅; that value is a lower
-    bound for every completion, so the answer is the one trying every
-    commitment in order would give. A dag rooted at a separation node has
-    no edge selecting its branches and never evaluates to a set, so the
-    answer there is always none. Malformed nodes raise ValueError before
-    any commitment is tried, whatever the commitments would be.
+    Edges into separation nodes are ordered by the breadth-first numbering
+    of their parents (``canonical_map``), children in stored order, and
+    decided in that order, branch indices ascending, so the first hit is
+    the lexicographically least certificate in that edge order. A partial
+    commitment is abandoned as soon as the root value is non-empty with
+    the undecided edges read as ∅; that value is a lower bound for every
+    completion, so the answer is the one trying every commitment in order
+    would give. A dag rooted at a separation node has no edge selecting
+    its branches and never evaluates to a set, so the answer there is
+    always none. Malformed nodes raise ValueError before any commitment is
+    tried, whatever the commitments would be.
     """
     if d.node(d.root).rule is Rule.S:
         return None
     program = _Program(d)
-    index = {key: e for e, key in enumerate(program.edges)}
-    edges = _separation_edges(d)
-    order = [index[key] for key in edges]
-    picks = [0] * len(program.edges)
+    edges = program.edges
+    rank = canonical_map(d)  # parents breadth first, then children in stored order
+    keys = sorted((rank[p], d.nodes[p].children.index(s), e)
+                  for e, (p, s) in enumerate(edges) if p in rank)
+    order = [e for _, _, e in keys]
+    picks = [0] * len(edges)
     tried = [0] * len(order)  # per depth, the 1-based branch picked last
     if program.base[-1]:
         return None
@@ -229,22 +241,7 @@ def search_choice(d: Deduction) -> Choice | None:
         tried[depth] += 1
         if not program.run(picks)[-1]:
             depth += 1
-    return dict(zip(edges, tried))
-
-
-def _separation_edges(d: Deduction) -> list[tuple[int, int]]:
-    """Edges into separation nodes, parents in breadth-first order from the
-    root and children in stored order. Repeats none once ``_Program`` has
-    accepted ``d``: no separation node has a separation child."""
-    nodes = d.nodes
-    seen = {d.root}
-    queue = [d.root]
-    for x in queue:  # grows while it is read: breadth first
-        for c in nodes[x].children:
-            if c not in seen:
-                seen.add(c)
-                queue.append(c)
-    return [(x, c) for x in queue for c in nodes[x].children if nodes[c].rule is Rule.S]
+    return {edges[e]: index for e, index in zip(order, tried)}
 
 
 class _Program:

@@ -1,9 +1,12 @@
 """Local correctness checking and the flat tuple encoding.
 
-``check_local_correctness`` works on a built deduction and reports which
-clause of the node-local definition fails, identified by a short clause id:
+``check_local_correctness`` reports which clause of the node-local
+definition fails, identified by a short clause id, and keeps its report on
+the deduction, so each deduction is checked once however many callers ask:
 
 * ``1a``  edge endpoints (leaves have no children, the root no parent);
+          a child or root id with no node is reported here alone, as no
+          other clause can be read without it;
 * ``1b``  root height is 0;
 * ``1c``  children sit exactly one level above their parent;
 * ``2a``  repetition repeats its child formula;
@@ -101,56 +104,66 @@ class TupleFormatError(ValueError):
 
 
 def check_local_correctness(d: Deduction) -> LCReport:
-    """Report-valued check of every node-local clause; never raises."""
+    """Report-valued check of every node-local clause; never raises.
+    Computed once per deduction."""
+    return d._memo("_report", _local_report)
+
+
+def _local_report(d: Deduction) -> LCReport:
     violations: list[Violation] = []
 
     def flag(condition: int | str, node: int | None, message: str) -> None:
         violations.append(Violation(condition, node, message))
 
     nodes = d.nodes
-    root = nodes[d.root]
-    if root.height != 0:
-        flag("1b", root.id, "root height is not 0")
-    if any(root.id in n.children for n in nodes.values()):
-        flag("1a", root.id, "root has a parent")
-    if root.rule is Rule.LEAF:
-        flag("3", root.id, "root is a leaf")
+    try:
+        root = nodes[d.root]
+        if root.height != 0:
+            flag("1b", root.id, "root height is not 0")
+        if any(root.id in n.children for n in nodes.values()):
+            flag("1a", root.id, "root has a parent")
+        if root.rule is Rule.LEAF:
+            flag("3", root.id, "root is a leaf")
 
-    # Node order is free: the final stable sort by (condition, node) puts
-    # the report in order, and each node's own violations keep theirs.
-    for n in nodes.values():
-        if n.rule is Rule.LEAF and n.children:
-            flag("1a", n.id, "leaf has children")
-        for c in n.children:
-            if nodes[c].height != n.height + 1:
-                flag("1c", n.id, f"child {c} is not one level up")
-        if n.rule is Rule.R:
-            if len(n.children) == 1 and nodes[n.children[0]].formula != n.formula:
-                flag("2a", n.id, "repetition child formula differs")
-        elif n.rule is Rule.I:
-            if len(n.children) == 1:
-                child = nodes[n.children[0]]
-                ok = (
-                    isinstance(n.formula, Implication)
-                    and n.formula.consequent == child.formula
-                )
-                if not ok:
-                    flag("2b", n.id, "conclusion does not introduce onto the child formula")
-        elif n.rule is Rule.E:
-            if len(n.children) == 2:
-                y, z = (nodes[c] for c in n.children)
-                straight = is_implication(z.formula, y.formula, n.formula)
-                swapped = is_implication(y.formula, z.formula, n.formula)
-                if not (straight or swapped):
-                    flag("2c", n.id, "no premise is the other premise arrow the conclusion")
-        elif n.rule is Rule.S:
+        # Node order is free: the final stable sort by (condition, node) puts
+        # the report in order, and each node's own violations keep theirs.
+        for n in nodes.values():
+            if n.rule is Rule.LEAF and n.children:
+                flag("1a", n.id, "leaf has children")
             for c in n.children:
-                ch = nodes[c]
-                if ch.formula != n.formula:
-                    flag("2d", n.id, f"separation child {c} changes the formula")
-                if ch.rule is Rule.S:
-                    flag("2d", n.id, f"separation child {c} is itself a separation")
-
+                if nodes[c].height != n.height + 1:
+                    flag("1c", n.id, f"child {c} is not one level up")
+            if n.rule is Rule.R:
+                if len(n.children) == 1 and nodes[n.children[0]].formula != n.formula:
+                    flag("2a", n.id, "repetition child formula differs")
+            elif n.rule is Rule.I:
+                if len(n.children) == 1:
+                    child = nodes[n.children[0]]
+                    ok = (
+                        isinstance(n.formula, Implication)
+                        and n.formula.consequent == child.formula
+                    )
+                    if not ok:
+                        flag("2b", n.id, "conclusion does not introduce onto the child formula")
+            elif n.rule is Rule.E:
+                if len(n.children) == 2:
+                    y, z = (nodes[c] for c in n.children)
+                    straight = is_implication(z.formula, y.formula, n.formula)
+                    swapped = is_implication(y.formula, z.formula, n.formula)
+                    if not (straight or swapped):
+                        flag("2c", n.id, "no premise is the other premise arrow the conclusion")
+            elif n.rule is Rule.S:
+                for c in n.children:
+                    ch = nodes[c]
+                    if ch.formula != n.formula:
+                        flag("2d", n.id, f"separation child {c} changes the formula")
+                    if ch.rule is Rule.S:
+                        flag("2d", n.id, f"separation child {c} is itself a separation")
+    except KeyError:  # a child or root id that names no node
+        violations = [Violation("1a", n.id, f"child {c} does not exist")
+                      for n in nodes.values() for c in n.children if c not in nodes]
+        if d.root not in nodes:
+            violations.append(Violation("1a", None, f"root {d.root} does not exist"))
     ordered = tuple(sorted(violations, key=lambda v: (str(v.condition), v.node or 0)))
     return LCReport(not ordered, ordered)
 

@@ -20,6 +20,9 @@ root formula when every thread is closed.
 Trees are numbered 1..n breadth first by ``lay_out`` as they are grown;
 an existing dag is renumbered the same way by ``canonical``.
 
+A deduction keeps its parent map and its local-correctness report once
+computed; copies and pickles drop them and compute them afresh.
+
 A deduction file holds the JSON document of ``to_dict``. ``save_deduction``
 writes its text directly, with one ``json.dumps`` per distinct formula, and
 ``from_dict`` checks each entry in one pass before ``build`` checks the dag.
@@ -180,11 +183,24 @@ class FormatError(ValueError):
 
 
 class Deduction(Record):
-    """A node map and its root id; unhashable, as the map is a dict."""
+    """A node map and its root id; unhashable, as the map is a dict.
 
-    __slots__ = ("nodes", "root", "_parents")
+    ``parents`` and the ``check_local_correctness`` report are kept in
+    private slots once computed, which equality, ``repr``, copies and
+    pickles ignore. The node map must not change after either is read.
+    """
+
+    __slots__ = ("nodes", "root", "_parents", "_report")
     nodes: dict[int, Node]
     root: int
+
+    def _memo(self, slot: str, compute: Callable[[Deduction], object]):
+        """The value kept in ``slot``, set to ``compute(self)`` on first use."""
+        value = getattr(self, slot, None)
+        if value is None:
+            value = compute(self)
+            object.__setattr__(self, slot, value)
+        return value
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
@@ -192,18 +208,18 @@ class Deduction(Record):
     @property
     def parents(self) -> dict[int, tuple[int, ...]]:
         """Parent ids per node, in ascending parent id order; computed once."""
-        parents = getattr(self, "_parents", None)
-        if parents is None:
-            acc: dict[int, list[int]] = {i: [] for i in self.nodes}
-            for n in self.nodes.values():
-                for c in n.children:
-                    acc[c].append(n.id)
-            parents = {i: tuple(sorted(ps)) for i, ps in acc.items()}
-            object.__setattr__(self, "_parents", parents)
-        return parents
+        return self._memo("_parents", _parent_map)
 
     def height(self) -> int:
         return max(n.height for n in self.nodes.values())
+
+
+def _parent_map(d: Deduction) -> dict[int, tuple[int, ...]]:
+    acc: dict[int, list[int]] = {i: [] for i in d.nodes}
+    for n in d.nodes.values():
+        for c in n.children:
+            acc[c].append(n.id)
+    return {i: tuple(sorted(ps)) for i, ps in acc.items()}
 
 
 def build(nodes: Iterable[Node], root: int) -> Deduction:
@@ -223,16 +239,13 @@ def build(nodes: Iterable[Node], root: int) -> Deduction:
     if bad:
         raise StructureError(bad)
 
-    violations: list[tuple[int | None, str]] = []
-    for n in node_map.values():
-        for c in n.children:
-            if c not in node_map:
-                violations.append((n.id, f"child {c} does not exist"))
-    if violations:
-        raise StructureError(violations)
-
+    # One pass over the nodes; children that do not exist are reported on
+    # their own, before the other violations.
     arity = {Rule.LEAF: 0, Rule.R: 1, Rule.I: 1, Rule.E: 2}
+    missing: list[tuple[int | None, str]] = []
+    violations: list[tuple[int | None, str]] = []
     normalized: dict[int, Node] = {}
+    root_parented = False
     for n in node_map.values():
         k = len(n.children)
         if n.rule is Rule.S:
@@ -243,42 +256,40 @@ def build(nodes: Iterable[Node], root: int) -> Deduction:
                 (n.id, f"{n.rule.value} rule needs {arity[n.rule]} children, got {k}")
             )
         if n.rule is Rule.E and k == 2:
+            y, z = (node_map.get(c) for c in n.children)
             if n.children[0] == n.children[1]:
                 violations.append((n.id, "E rule needs two distinct children"))
-            else:
-                y, z = (node_map[c] for c in n.children)
-                # store minor premise first when exactly the swapped order types
-                if not is_implication(z.formula, y.formula, n.formula) and is_implication(
-                    y.formula, z.formula, n.formula
-                ):
+            # store minor premise first when exactly the swapped order types
+            elif y and z and not is_implication(z.formula, y.formula, n.formula):
+                if is_implication(y.formula, z.formula, n.formula):
                     n = Node(n.id, n.formula, n.rule, n.height, (z.id, y.id))
         for c in n.children:
-            ch = node_map[c]
-            if ch.height != n.height + 1:
-                violations.append(
-                    (n.id, f"child {c} height {ch.height} is not parent height + 1")
-                )
+            ch = node_map.get(c)
+            if ch is None:
+                missing.append((n.id, f"child {c} does not exist"))
+            elif ch.height != n.height + 1:
+                violations.append((n.id, f"child {c} height {ch.height} is not parent height + 1"))
+        root_parented = root_parented or root in n.children
         normalized[n.id] = n
+    if missing:
+        raise StructureError(missing)
 
     if root not in node_map:
         violations.append((None, f"root {root} does not exist"))
     else:
         if node_map[root].height != 0:
             violations.append((root, "root height is not 0"))
-        parented = {c for n in node_map.values() for c in n.children}
-        if root in parented:
+        if root_parented:
             violations.append((root, "root has a parent"))
         seen = {root}
         queue = [root]
         while queue:
-            x = queue.pop()
-            for c in normalized[x].children if x in normalized else ():
+            for c in normalized[queue.pop()].children:
                 if c not in seen:
                     seen.add(c)
                     queue.append(c)
-        for i in sorted(node_map):
-            if i not in seen:
-                violations.append((i, "unreachable from root"))
+        if len(seen) < len(node_map):
+            violations += ((i, "unreachable from root") for i in sorted(node_map.keys() - seen))
 
     if violations:
         raise StructureError(violations)

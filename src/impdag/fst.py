@@ -182,20 +182,12 @@ def _survey(
         unpaired = [
             (th, node_id)
             for th, path in zip(listed, paths)
-            for node_id, _, key in _eliminations(path, elims)
+            for node_id, _, key in (elims[pid] for pid in path if pid in elims)
             if key not in step
         ]
     witnesses = (*uncovered, *open_threads, *unpaired)
     report = FstReport(not uncovered, not open_threads, not unpaired, witnesses)
     return report, step, paths, elims
-
-
-def _eliminations(
-    path: list[int], elims: dict[int, tuple[int, int, int]]
-) -> list[tuple[int, int, int]]:
-    """Each E node on the thread of ``path``, its premise off the thread,
-    and the key of the prefix taking that premise, in thread order."""
-    return [elims[pid] for pid in path if pid in elims]
 
 
 def check_fst(d: Deduction, collection: ThreadSet) -> FstReport:
@@ -256,7 +248,9 @@ def cleanse_via_fst(d: Deduction, collection: ThreadSet) -> tuple[Choice, Deduct
         retain(0)
         while queue:
             pos = queue.popleft()
-            for node_id, other, key in _eliminations(paths[pos], elims):
+            # Each E node on the thread, its premise off the thread and the
+            # key of the prefix taking that premise, in thread order.
+            for node_id, other, key in (elims[pid] for pid in paths[pos] if pid in elims):
                 pid = step[key]
                 if pid in reached:
                     continue

@@ -22,8 +22,6 @@ expects.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .checker import check_local_correctness
 from .deduction import (
     DEFAULT_NODE_CAP,
@@ -212,7 +210,7 @@ def s_eliminate(d: Deduction, choice: dict[tuple[int, int], int]) -> Deduction:
     result can exceed the input in size when commitments diverge; with
     agreeing parents it never grows.
     """
-    from .assignment import ChoiceError
+    from .assignment import _committed_branch
 
     root = d.node(d.root)
     if root.rule is Rule.S:
@@ -226,14 +224,7 @@ def s_eliminate(d: Deduction, choice: dict[tuple[int, int], int]) -> Deduction:
             continue
         used: dict[int, list[int]] = {}
         for p in d.parents[s.id]:
-            key = (p, s.id)
-            if key not in choice:
-                raise ChoiceError(f"no branch chosen for edge {key}")
-            index = choice[key]
-            if not 1 <= index <= len(s.children):
-                raise ChoiceError(
-                    f"edge {key}: branch {index} out of range 1..{len(s.children)}"
-                )
+            index = _committed_branch(choice, (p, s.id), len(s.children))
             used.setdefault(index, []).append(p)
         copy_ids: dict[int, int] = {}
         for index in sorted(used):
@@ -256,12 +247,5 @@ def s_eliminate(d: Deduction, choice: dict[tuple[int, int], int]) -> Deduction:
         children = tuple(replacement.get((n.id, c), c) for c in n.children)
         rewired[n.id] = Node(n.id, n.formula, n.rule, n.height, children)
 
-    keep = set()
-    queue = deque((d.root,))
-    while queue:
-        x = queue.popleft()
-        if x in keep:
-            continue
-        keep.add(x)
-        queue.extend(rewired[x].children)
+    keep = canonical_map(Deduction(rewired, d.root))  # the ids the root still reaches
     return build([rewired[x] for x in sorted(keep)], d.root)

@@ -1,12 +1,18 @@
 """Local-correctness reports, the tuple encoding, and its text format."""
 
+import copy
+import pickle
+
 import pytest
 
+from impdag import checker
 from impdag.checker import (
     DecodeError,
     EncodingError,
+    LCReport,
     TupleFormatError,
     TupleRow,
+    Violation,
     check_local_correctness,
     check_tuples,
     decode,
@@ -14,13 +20,17 @@ from impdag.checker import (
     parse_tuples,
     render_tuples,
 )
-from impdag.deduction import Deduction, build, canonical
+from impdag.cli import _load_correct_dag
+from impdag.deduction import Deduction, build, canonical, save_deduction
 from impdag.formula import parse_infix, to_infix
+from impdag.prover import prove
+from impdag.transform import compress
 
 from conftest import diamond_dag as make_diamond
 from conftest import merge_pair_tree as make_merge_pair
 from conftest import mk
 from conftest import sep_proof_dag as make_sep_proof
+
 
 
 def identity_proof():
@@ -117,6 +127,26 @@ class TestLocalCorrectness:
         got = conditions(check_local_correctness(d))
         assert {"1a", "1b", "1c"} <= got
 
+    def test_dangling_child_is_clause_1a(self):
+        d = Deduction({1: mk(1, "a -> a", "I", 0, (2,)), 2: mk(2, "a", "R", 1, (3, 4))}, 1)
+        assert check_local_correctness(d) == LCReport(False, (
+            Violation("1a", 2, "child 3 does not exist"),
+            Violation("1a", 2, "child 4 does not exist"),
+        ))
+        with pytest.raises(EncodingError, match="condition 1a at node 2"):
+            encode(d)
+
+    def test_missing_root_is_clause_1a(self):
+        # tree-like by its edges, so compress gets as far as the check
+        d = Deduction({1: mk(1, "a", "R", 1, (1,))}, 2)
+        assert check_local_correctness(d) == LCReport(
+            False, (Violation("1a", None, "root 2 does not exist"),)
+        )
+        with pytest.raises(EncodingError, match="condition 1a at node None"):
+            encode(d)
+        with pytest.raises(ValueError, match="condition 1a at node None"):
+            compress(d)
+
     def test_violations_sorted_and_messages_present(self):
         nodes = {
             1: mk(1, "a", "R", 1, (2,)),
@@ -126,6 +156,42 @@ class TestLocalCorrectness:
         conds = [str(v.condition) for v in report.violations]
         assert conds == sorted(conds)
         assert all(v.message for v in report.violations)
+
+
+class TestReportMemo:
+    """The report is computed once per deduction and kept on it."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The deductions the clause walk runs on, in call order."""
+        calls, walk = [], checker._local_report
+        monkeypatch.setattr(checker, "_local_report", lambda d: calls.append(d) or walk(d))
+        return calls
+
+    def test_one_walk_per_object_across_callers(self, walks, tmp_path):
+        path = tmp_path / "proof.json"
+        save_deduction(prove(parse_infix("a -> (a -> b) -> b")), str(path))
+        assert len(walks) == 1  # prove certifies its tree
+        d = _load_correct_dag(str(path))
+        report = check_local_correctness(d)
+        encode(d)
+        compress(d)
+        assert report.ok and len(walks) == 2 and walks[1] is d
+        assert check_local_correctness(d) is report
+
+    def test_copies_compute_the_report_afresh(self, walks):
+        d = make_diamond()
+        report = check_local_correctness(d)
+        for clone in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert clone == d
+            assert check_local_correctness(clone) == report
+            assert walks[-1] is clone
+        assert len(walks) == 4
+
+    def test_memo_changes_no_equality_or_repr(self):
+        checked, fresh = make_diamond(), make_diamond()
+        check_local_correctness(checked)
+        assert checked == fresh and repr(checked) == repr(fresh)
 
 
 class TestEncode:

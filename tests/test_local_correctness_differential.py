@@ -7,9 +7,11 @@ damaged by ``corrupt_encoding`` describe; and seeded random dags, corpus
 proofs and their compressed forms with one to three nodes mutated (formula,
 rule, height or children), each also with its node map in shuffled order.
 Compared: the violation list in order, or the type and text of the
-exception.
+exception. Where the old check raised KeyError, on a child or root id that
+names no node, the check now reports those ids as clause 1a instead.
 """
 
+import copy
 import random
 
 import pytest
@@ -109,6 +111,8 @@ FAULTY = [
     raw([mk(1, "a", "LEAF", 1, (2, 1)), mk(2, "b", "S", 0, (1, 1))], 1),
     raw([mk(3, "a", "R", 0, (1,)), mk(1, "b", "R", 1, (2,)), mk(2, "g", "LEAF", 1)], 3),
     raw([mk(1, "a", "R", 0, (2,))], 1),
+    raw([mk(1, "a -> a", "I", 0, (2,)), mk(2, "a", "R", 1, (3, 4))], 1),
+    raw([mk(1, "a", "LEAF", 0)], 2),
 ]
 
 _RULE_OF = {"L": Rule.LEAF, "R": Rule.R, "I": Rule.I, "E": Rule.E}
@@ -174,9 +178,27 @@ def outcome(check, d):
         return ("raised", type(exc), str(exc))
 
 
+def dangling_report(d):
+    """What the check reports where the reference raises KeyError: each
+    child id, and the root id, that names no node, as a clause-1a violation."""
+    violations = []
+    if d.root not in d.nodes:
+        violations.append(Violation("1a", None, f"root {d.root} does not exist"))
+    for n in sorted(d.nodes.values(), key=lambda n: n.id):
+        violations += [
+            Violation("1a", n.id, f"child {c} does not exist") for c in n.children if c not in d.nodes
+        ]
+    ordered = tuple(sorted(violations, key=lambda v: (str(v.condition), v.node or 0)))
+    return LCReport(False, ordered)
+
+
 def assert_same(d, rng):
     want = outcome(reference_check_local_correctness, d)
+    if want[0] == "raised" and want[1] is KeyError:
+        want = dangling_report(d)
     assert outcome(check_local_correctness, d) == want
+    # The report kept on d is the one a copy, which keeps none, computes.
+    assert check_local_correctness(d) == check_local_correctness(copy.copy(d))
     assert outcome(check_local_correctness, shuffled(d, rng)) == want
     return want
 

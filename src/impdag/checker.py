@@ -120,14 +120,14 @@ def _local_report(d: Deduction) -> LCReport:
         root = nodes[d.root]
         if root.height != 0:
             flag("1b", root.id, "root height is not 0")
-        if any(root.id in n.children for n in nodes.values()):
-            flag("1a", root.id, "root has a parent")
         if root.rule is Rule.LEAF:
             flag("3", root.id, "root is a leaf")
 
         # Node order is free: the final stable sort by (condition, node) puts
         # the report in order, and each node's own violations keep theirs.
+        root_has_parent = False
         for n in nodes.values():
+            root_has_parent |= root.id in n.children
             if n.rule is Rule.LEAF and n.children:
                 flag("1a", n.id, "leaf has children")
             for c in n.children:
@@ -159,6 +159,8 @@ def _local_report(d: Deduction) -> LCReport:
                         flag("2d", n.id, f"separation child {c} changes the formula")
                     if ch.rule is Rule.S:
                         flag("2d", n.id, f"separation child {c} is itself a separation")
+        if root_has_parent:  # first, so it leads the root's other 1a entries
+            violations.insert(0, Violation("1a", root.id, "root has a parent"))
     except KeyError:  # a child or root id that names no node
         violations = [Violation("1a", n.id, f"child {c} does not exist")
                       for n in nodes.values() for c in n.children if c not in nodes]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 import time
 
@@ -108,16 +107,7 @@ def _parse_formula(text: str) -> Formula:
 
 
 def _cap(given: int | None, fallback: int) -> int:
-    if given is not None:
-        value = given
-    else:
-        env = os.environ.get("IMPDAG_DEFAULT_CAP")
-        if env is None:
-            return fallback
-        try:
-            value = int(env)
-        except ValueError:
-            raise CliError(MALFORMED, "IMPDAG_DEFAULT_CAP must be an integer") from None
+    value = fallback if given is None else given
     if value < 1:
         raise CliError(MALFORMED, "cap must be at least 1")
     return value

@@ -244,7 +244,6 @@ def build(nodes: Iterable[Node], root: int) -> Deduction:
     arity = {Rule.LEAF: 0, Rule.R: 1, Rule.I: 1, Rule.E: 2}
     missing: list[tuple[int | None, str]] = []
     violations: list[tuple[int | None, str]] = []
-    normalized: dict[int, Node] = {}
     root_parented = False
     for n in node_map.values():
         k = len(n.children)
@@ -259,10 +258,11 @@ def build(nodes: Iterable[Node], root: int) -> Deduction:
             y, z = (node_map.get(c) for c in n.children)
             if n.children[0] == n.children[1]:
                 violations.append((n.id, "E rule needs two distinct children"))
-            # store minor premise first when exactly the swapped order types
+            # store minor premise first when exactly the swapped order types;
+            # replacing the value of a key leaves the iteration intact
             elif y and z and not is_implication(z.formula, y.formula, n.formula):
                 if is_implication(y.formula, z.formula, n.formula):
-                    n = Node(n.id, n.formula, n.rule, n.height, (z.id, y.id))
+                    n = node_map[n.id] = Node(n.id, n.formula, n.rule, n.height, (z.id, y.id))
         for c in n.children:
             ch = node_map.get(c)
             if ch is None:
@@ -270,7 +270,6 @@ def build(nodes: Iterable[Node], root: int) -> Deduction:
             elif ch.height != n.height + 1:
                 violations.append((n.id, f"child {c} height {ch.height} is not parent height + 1"))
         root_parented = root_parented or root in n.children
-        normalized[n.id] = n
     if missing:
         raise StructureError(missing)
 
@@ -284,7 +283,7 @@ def build(nodes: Iterable[Node], root: int) -> Deduction:
         seen = {root}
         queue = [root]
         while queue:
-            for c in normalized[queue.pop()].children:
+            for c in node_map[queue.pop()].children:
                 if c not in seen:
                     seen.add(c)
                     queue.append(c)
@@ -293,7 +292,7 @@ def build(nodes: Iterable[Node], root: int) -> Deduction:
 
     if violations:
         raise StructureError(violations)
-    return Deduction(normalized, root)
+    return Deduction(node_map, root)
 
 
 def threads(d: Deduction, cap: int = DEFAULT_THREAD_CAP) -> list[Thread] | Overflow:

@@ -2,10 +2,10 @@
 
 ``prove`` runs a terminating, contraction-free, goal-directed sequent
 search (in the style of Dyckhoff's LJT restricted to implication) whose
-steps return natural-deduction proofs. Each search keeps a memo of the
-sequents it has settled, with their proofs, so a sequent is proved once
-and every parent that meets it shares the same proof object; the
-tree-like deduction is laid out from that shared proof. Every output is
+steps return natural-deduction proofs, on an explicit stack of sequents
+bounded in depth by ``DEFAULT_MAX_DEPTH``. Each search keeps a memo of the
+sequents it has settled, with their proofs, so a sequent is proved once and
+every parent shares its proof; the tree-like deduction is laid out from it. Every output is
 re-checked against the structural checker and the assignment semantics
 before being returned.
 
@@ -82,71 +82,80 @@ def _leaf(f: Formula) -> Tree:
     return (f, Rule.LEAF, ())
 
 
-def _search(
-    context: Context, goal: Formula, depth: int, budget: dict, memo: dict
-) -> Tree | None:
-    """Proof of the sequent, or None; ``memo`` holds the proofs of the
-    sequents this search has already settled, whatever depth they were
-    reached at, so every parent that meets a sequent shares its proof."""
-    if depth <= 0:
-        raise ResourceLimitError("depth", budget["max_depth"])
-    key = (context, goal)
-    if key in memo:
-        return memo[key]
-    budget["nodes"] -= 1
-    if budget["nodes"] < 0:
-        raise ResourceLimitError("nodes", budget["max_nodes"])
-
-    result: Tree | None = None
+def _search(context: Context, goal: Formula):
+    """Steps of the sequent's proof: yields each sub-sequent it needs as
+    (context, goal) and receives that sub-sequent's proof or None, then
+    returns the sequent's proof or None. ``_settle`` drives it."""
     if goal in context:
-        result = _leaf(goal)
-    elif isinstance(goal, Implication):
-        premise = _search(
-            _insert(context, goal.antecedent), goal.consequent, depth - 1, budget, memo
-        )
-        if premise is not None:
-            result = (goal, Rule.I, (premise,))
-    else:
-        chain = next(
-            (
-                h
-                for h in context
-                if isinstance(h, Implication)
-                and isinstance(h.antecedent, Atom)
-                and h.antecedent in context
-            ),
-            None,
-        )
-        if chain is not None:
-            b = chain.consequent
-            reduced = _insert(_remove(context, chain), b)
-            premise = _search(reduced, goal, depth - 1, budget, memo)
-            if premise is not None:
-                bridge = (b, Rule.E, (_leaf(chain.antecedent), _leaf(chain)))
-                result = _replace(premise, b, bridge)
+        return _leaf(goal)
+    if isinstance(goal, Implication):
+        premise = yield _insert(context, goal.antecedent), goal.consequent
+        return None if premise is None else (goal, Rule.I, (premise,))
+    chain = next(
+        (
+            h
+            for h in context
+            if isinstance(h, Implication)
+            and isinstance(h.antecedent, Atom)
+            and h.antecedent in context
+        ),
+        None,
+    )
+    if chain is not None:
+        b = chain.consequent
+        premise = yield _insert(_remove(context, chain), b), goal
+        if premise is None:
+            return None
+        return _replace(premise, b, (b, Rule.E, (_leaf(chain.antecedent), _leaf(chain))))
+    for h in context:
+        if not (isinstance(h, Implication) and isinstance(h.antecedent, Implication)):
+            continue
+        head, b = h.antecedent, h.consequent
+        rest = _remove(context, h)
+        flattened = Implication(head.consequent, b)
+        minor = yield _insert(rest, flattened), head
+        if minor is None:
+            continue
+        major = yield _insert(rest, b), goal
+        if major is not None:
+            # proof of D -> B from the principal (C -> D) -> B alone
+            discharge = (
+                flattened,
+                Rule.I,
+                ((b, Rule.E, ((head, Rule.I, (_leaf(head.consequent),)), _leaf(h))),),
+            )
+            bridge = (b, Rule.E, (_replace(minor, flattened, discharge), _leaf(h)))
+            return _replace(major, b, bridge)
+    return None
+
+
+def _settle(f: Formula, max_nodes: int) -> Tree | None:
+    """Proof of ``f``, or None, driving ``_search`` on an explicit stack of
+    the sequents in progress. ``memo`` holds each settled sequent's proof,
+    whatever depth it was reached at, so every parent shares it."""
+    memo: dict[tuple[Context, Formula], Tree | None] = {}
+    stack: list = []
+    sequent = ((), f)
+    while True:
+        if len(stack) >= DEFAULT_MAX_DEPTH:
+            raise ResourceLimitError("depth", DEFAULT_MAX_DEPTH)
+        if sequent in memo:
+            proof = memo[sequent]
+        elif len(memo) + len(stack) >= max_nodes:
+            raise ResourceLimitError("nodes", max_nodes)
         else:
-            for h in context:
-                if not (isinstance(h, Implication) and isinstance(h.antecedent, Implication)):
-                    continue
-                head, b = h.antecedent, h.consequent
-                rest = _remove(context, h)
-                flattened = Implication(head.consequent, b)
-                minor = _search(_insert(rest, flattened), head, depth - 1, budget, memo)
-                if minor is None:
-                    continue
-                major = _search(_insert(rest, b), goal, depth - 1, budget, memo)
-                if major is not None:
-                    # proof of D -> B from the principal (C -> D) -> B alone
-                    discharge = (
-                        flattened,
-                        Rule.I,
-                        ((b, Rule.E, ((head, Rule.I, (_leaf(head.consequent),)), _leaf(h))),),
-                    )
-                    bridge = (b, Rule.E, (_replace(minor, flattened, discharge), _leaf(h)))
-                    result = _replace(major, b, bridge)
-                    break
-    memo[key] = result
-    return result
+            stack.append((sequent, _search(*sequent)))
+            proof = None
+        while True:
+            key, steps = stack[-1]
+            try:
+                sequent = steps.send(proof)
+                break
+            except StopIteration as done:
+                memo[key] = proof = done.value
+                stack.pop()
+                if not stack:
+                    return proof
 
 
 def _replace(tree: Tree, hypothesis: Formula, proof: Tree) -> Tree:
@@ -181,21 +190,17 @@ def _expand(item: tuple[Tree, int]):
     return formula, rule, height, ((c, height + 1) for c in children)
 
 
-def prove(
-    f: Formula,
-    *,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> Deduction | None:
+def prove(f: Formula, *, max_nodes: int = DEFAULT_MAX_NODES) -> Deduction | None:
     """Search for a tree-like deduction of ``f``; None when invalid.
 
-    The result is deterministic for a given formula and budget, since
-    each call searches with a memo of its own, and is certified before
-    being returned: tree shape, local correctness, root formula,
-    and the assignment criterion are all re-checked.
+    The search runs on an explicit stack. ``ResourceLimitError`` is raised
+    past ``DEFAULT_MAX_DEPTH`` sequents in progress or ``max_nodes``
+    sequents searched or tree nodes laid out. The result is deterministic
+    for a given formula and budget, since each call searches with a memo
+    of its own, and is certified before being returned: tree shape, local
+    correctness, root formula, and the assignment criterion are re-checked.
     """
-    budget = {"nodes": max_nodes, "max_nodes": max_nodes, "max_depth": max_depth}
-    proof = _search((), f, max_depth, budget, {})
+    proof = _settle(f, max_nodes)
     if proof is None:
         return None
     d = lay_out((proof, 0), _expand, max_nodes)

@@ -143,19 +143,6 @@ class TestProv:
         assert code == 3
         assert "--cap" in err
 
-    def test_cap_from_environment(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("IMPDAG_DEFAULT_CAP", "1")
-        path = dag_file(tmp_path, diamond_dag())
-        code, _, _ = run(["prov", path, "--method", "threads"], capsys)
-        assert code == 3
-
-    def test_bad_environment_cap(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("IMPDAG_DEFAULT_CAP", "lots")
-        path = dag_file(tmp_path, diamond_dag())
-        code, _, err = run(["prov", path, "--method", "threads"], capsys)
-        assert code == 2
-        assert "IMPDAG_DEFAULT_CAP" in err
-
 
 class TestSearch:
     def test_certificate_emitted_as_choice_document(self, tmp_path, capsys):

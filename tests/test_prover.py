@@ -10,6 +10,7 @@ from impdag.checker import check_local_correctness
 from impdag.deduction import Rule, is_tree_like, to_dict
 from impdag.formula import Atom, Implication, parse_infix, weight
 from impdag.prover import (
+    DEFAULT_MAX_DEPTH,
     OracleBoundError,
     ResourceLimitError,
     family,
@@ -21,6 +22,14 @@ from test_prover_differential import chain
 
 S_COMBINATOR = "(a -> b -> g) -> (a -> b) -> a -> g"
 PEIRCE = "((a -> b) -> a) -> a"
+
+
+def stack_depth():
+    """Frames on the calling thread's stack, the caller's included."""
+    frames, frame = 0, sys._getframe(1)
+    while frame is not None:
+        frames, frame = frames + 1, frame.f_back
+    return frames
 
 
 def certified(text):
@@ -89,36 +98,44 @@ class TestProve:
         assert info.value.limit == "nodes"
 
     def test_depth_budget(self):
+        # chain(k) nests its search 2k + 2 sequents deep
+        assert prove(chain(199)) is not None
         with pytest.raises(ResourceLimitError) as info:
-            prove(parse_infix("x1 -> x2 -> x3 -> x1"), max_depth=2)
-        assert info.value.limit == "depth"
+            prove(chain(200))
+        assert (info.value.limit, info.value.value) == ("depth", DEFAULT_MAX_DEPTH)
+        assert str(info.value) == "depth budget of 400 exceeded"
 
     def test_outcome_does_not_depend_on_earlier_calls(self):
-        def budgeted():
+        def outcome(f):
             try:
-                return to_dict(prove(family(3), max_depth=3))
+                return to_dict(prove(f))
             except ResourceLimitError as exc:
                 return exc.limit
 
-        cold = budgeted()
+        cold = outcome(chain(250))
         assert cold == "depth"
-        assert prove(family(3)) is not None
-        assert budgeted() == cold
+        proof = outcome(chain(199))
+        assert outcome(chain(250)) == cold
+        assert outcome(chain(199)) == proof
 
     def test_long_chain_fits_a_small_stack(self):
-        # From the top of a fresh interpreter, prove(chain(199)) needs a
-        # recursion limit of 404: about two frames per search level, none
-        # per level of the substituted trees. 450 frames above the caller
-        # leave a margin; a substitution that recursed needed about 600.
-        frames, frame = 0, sys._getframe()
-        while frame is not None:
-            frames, frame = frames + 1, frame.f_back
+        # The search and the substitutions run on explicit stacks, so
+        # prove(chain(199)) needs only a few frames above its caller: from
+        # the top of a fresh interpreter a recursion limit of 10 suffices.
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(frames + 450)
+        sys.setrecursionlimit(stack_depth() + 50)
         try:
             d = prove(chain(199))
         finally:
             sys.setrecursionlimit(limit)
+        assert d is not None and prov(d)
+
+    def test_long_chain_from_a_deep_caller(self):
+        # a caller already about 900 frames deep, under the default limit
+        def nested(frames):
+            return prove(chain(199)) if frames >= 900 else nested(frames + 1)
+
+        d = nested(stack_depth())
         assert d is not None and prov(d)
 
 

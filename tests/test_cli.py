@@ -143,6 +143,19 @@ class TestProv:
         assert code == 3
         assert "--cap" in err
 
+    def test_cap_below_one_is_malformed(self, tmp_path, capsys):
+        path = dag_file(tmp_path, diamond_dag())
+        code, _, err = run(["prov", path, "--method", "threads", "--cap", "0"], capsys)
+        assert code == 2
+        assert "cap must be at least 1" in err
+
+    def test_environment_does_not_set_the_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("IMPDAG_DEFAULT_CAP", "1")
+        path = dag_file(tmp_path, diamond_dag())
+        code, out, _ = run(["prov", path, "--method", "threads"], capsys)
+        assert code == 1
+        assert out.strip() == "not proving"
+
 
 class TestSearch:
     def test_certificate_emitted_as_choice_document(self, tmp_path, capsys):

@@ -333,7 +333,7 @@ def _cmd_fst_check(args) -> int:
 def _cmd_bench(args) -> int:
     from .fst import CleansingError, FstError, ThreadSet, cleanse_via_fst
     from .prover import family, prove
-    from .transform import compress, level
+    from .transform import compress
     cap = args.max
     print("n  weight  tree  leveled  dag  cleansed  prove_s  compress_s  cleanse_s")
     for n in range(1, args.family + 1):
@@ -342,12 +342,14 @@ def _cmd_bench(args) -> int:
         d = prove(f)
         t1 = time.perf_counter()
         assert d is not None
-        leveled = level(d)
-        if len(leveled.nodes) > cap:
-            _note(f"family {n}: leveled tree has {len(leveled.nodes)} nodes, over --max {cap}")
+        # compress pads by itself; level would add an R node per level a leaf sits above the bottom
+        bottom = d.height()
+        leveled = len(d.nodes) + sum(bottom - n.height for n in d.nodes.values() if not n.children)
+        if leveled > cap:
+            _note(f"family {n}: leveled tree has {leveled} nodes, over --max {cap}")
             return LIMIT
         t2 = time.perf_counter()
-        dag, image = compress(leveled)
+        dag, image = compress(d)
         t3 = time.perf_counter()
         try:
             _, cleansed = cleanse_via_fst(dag, ThreadSet(image))
@@ -356,7 +358,7 @@ def _cmd_bench(args) -> int:
             return NEGATIVE
         t4 = time.perf_counter()
         print(
-            f"{n}  {weight(f)}  {len(d.nodes)}  {len(leveled.nodes)}  {len(dag.nodes)}"
+            f"{n}  {weight(f)}  {len(d.nodes)}  {leveled}  {len(dag.nodes)}"
             f"  {len(cleansed.nodes)}  {t1 - t0:.3f}  {t3 - t2:.3f}  {t4 - t3:.3f}"
         )
     return OK

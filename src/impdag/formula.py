@@ -14,24 +14,25 @@ exactly the token count of its prefix rendering.
 Formulas are hash-consed (Filliâtre and Conchon, "Type-safe modular
 hash-consing", 2006): the constructors ``Atom(name)`` and
 ``Implication(antecedent, consequent)`` look the formula up in one
-process-wide table and return the existing object when there is one, so
-equal formulas are the same object and ``==`` is an identity test. Build
-formulas only through these constructors. The table keeps every formula
-built for the life of the process, so code that only asks whether a
-formula is a given implication uses ``is_implication``, which builds
-nothing. Each formula is immutable and carries, computed once from its
-children when it is built, its weight, its prefix rendering and its hash
-(the same value the hash of the equivalent frozen dataclass would have,
-so set and dict iteration orders do not depend on the representation);
-the infix rendering is computed on first use and kept. Parsing,
-rendering, ``repr`` and pickling are iterative, so deep formulas never
-hit the interpreter's recursion limit.
+process-wide table, keyed by the name or by the two children, and return
+the existing object when there is one. So equal formulas are the same
+object, ``==`` is an identity test, and the object is the formula's only
+identity: it hashes by identity, as ``Rule`` does. Such hashes follow
+where objects happen to be allocated, so no output may follow set or dict
+iteration order over formulas; every order that reaches an artifact goes
+through ``formula_key`` or node ids. Build formulas only through these
+constructors. The table keeps every formula built for the life of the
+process, so code that only asks whether a formula is a given implication
+uses ``is_implication``, which builds nothing. Each formula is immutable
+and carries its weight and prefix rendering, computed once from its
+children when it is built; the infix rendering is computed on first use
+and kept. Parsing, rendering, ``repr`` and pickling are iterative, so
+deep formulas never hit the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import count
 
 __all__ = [
     "Atom",
@@ -41,15 +42,13 @@ __all__ = [
     "parse_infix",
     "parse_prefix",
     "to_infix",
-    "to_prefix",
     "weight",
     "formula_key",
     "is_implication",
 ]
 
-# Atoms are keyed by name, implications by the tags of their two children.
+# Atoms are keyed by name, implications by their two children.
 _TABLE: dict[object, "Formula"] = {}
-_TAGS = count()
 
 
 def _frozen(self, *args) -> None:
@@ -60,7 +59,6 @@ def _intern(cls: type, key: object, **fields: object) -> "Formula":
     f = object.__new__(cls)
     for slot, value in fields.items():
         object.__setattr__(f, slot, value)
-    object.__setattr__(f, "_tag", next(_TAGS))
     _TABLE[key] = f
     return f
 
@@ -68,7 +66,7 @@ def _intern(cls: type, key: object, **fields: object) -> "Formula":
 class Atom:
     """A named atom; ``Atom(name)`` returns the one atom with that name."""
 
-    __slots__ = ("name", "weight", "prefix", "_hash", "_tag", "_infix")
+    __slots__ = ("name", "weight", "prefix", "_infix")
     __setattr__ = __delattr__ = _frozen
 
     def __new__(cls, name: str) -> "Atom":
@@ -76,13 +74,8 @@ class Atom:
             raise TypeError("an atom name is a string")
         f = _TABLE.get(name)
         if f is None:
-            f = _intern(
-                cls, name, name=name, weight=1, prefix=name, _hash=hash((name,)), _infix=name
-            )
+            f = _intern(cls, name, name=name, weight=1, prefix=name, _infix=name)
         return f
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Atom(name={self.name!r})"
@@ -95,14 +88,13 @@ class Implication:
     """``antecedent -> consequent``; the constructor returns the one
     implication between those two formulas."""
 
-    __slots__ = ("antecedent", "consequent", "weight", "prefix", "_hash", "_tag", "_infix")
+    __slots__ = ("antecedent", "consequent", "weight", "prefix", "_infix")
     __setattr__ = __delattr__ = _frozen
 
     def __new__(cls, antecedent: "Formula", consequent: "Formula") -> "Implication":
-        try:
-            key = (antecedent._tag, consequent._tag)
-        except AttributeError:
-            raise TypeError("Implication needs two formulas") from None
+        if not (isinstance(antecedent, Formula) and isinstance(consequent, Formula)):
+            raise TypeError("Implication needs two formulas")
+        key = (antecedent, consequent)
         f = _TABLE.get(key)
         if f is None:
             f = _intern(
@@ -112,13 +104,9 @@ class Implication:
                 consequent=consequent,
                 weight=1 + antecedent.weight + consequent.weight,
                 prefix=f"> {antecedent.prefix} {consequent.prefix}",
-                _hash=hash((antecedent, consequent)),
                 _infix=None,
             )
         return f
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         parts: list[str] = []
@@ -264,7 +252,7 @@ def parse_prefix(text: str) -> Formula:
             value = atoms[tok] = Atom(tok)
         while stack and stack[-1] is not None:
             left = stack.pop()
-            value = _TABLE.get((left._tag, value._tag)) or Implication(left, value)
+            value = _TABLE.get((left, value)) or Implication(left, value)
         if not stack:
             break
         stack[-1] = value
@@ -298,10 +286,6 @@ def to_infix(f: Formula) -> str:
         text = "".join(parts)
         object.__setattr__(f, "_infix", text)
     return text
-
-
-def to_prefix(f: Formula) -> str:
-    return f.prefix
 
 
 def weight(f: Formula) -> int:

@@ -218,15 +218,15 @@ def prove(f: Formula, *, max_nodes: int = DEFAULT_MAX_NODES) -> Deduction | None
 
 
 def oracle_valid(f: Formula, bound: int = DEFAULT_ORACLE_WEIGHT) -> bool:
-    """Decide validity by an independent exhaustive sequent search."""
+    """Decide validity by an independent exhaustive sequent search on an explicit stack."""
     if weight(f) > bound:
         raise OracleBoundError(f"formula weight {weight(f)} exceeds bound {bound}")
 
     memo: dict[tuple[frozenset[Formula], Formula], bool] = {}
 
-    def holds(hyps: frozenset[Formula], goal: Formula, depth: int) -> bool:
-        if depth > DEFAULT_MAX_DEPTH:
-            raise OracleBoundError(f"oracle search depth exceeds {DEFAULT_MAX_DEPTH}")
+    def holds(hyps: frozenset[Formula], goal: Formula):
+        """Yields each sub-question as (hyps, goal) and receives its
+        verdict, then returns the verdict on ``hyps`` ⊢ ``goal``."""
         while isinstance(goal, Implication):
             if goal in hyps:
                 return True
@@ -255,15 +255,25 @@ def oracle_valid(f: Formula, bound: int = DEFAULT_ORACLE_WEIGHT) -> bool:
                 continue
             rest = hyps - {h}
             nested = Implication(h.antecedent.consequent, h.consequent)
-            if holds(rest | {nested}, h.antecedent, depth + 1) and holds(
-                rest | {h.consequent}, goal, depth + 1
-            ):
+            if (yield rest | {nested}, h.antecedent) and (yield rest | {h.consequent}, goal):
                 answer = True
                 break
         memo[key] = answer
         return answer
 
-    return holds(frozenset(), f, 1)
+    stack, verdict = [holds(frozenset(), f)], None
+    while stack:
+        try:
+            question = stack[-1].send(verdict)
+        except StopIteration as done:
+            stack.pop()
+            verdict = done.value
+            continue
+        if len(stack) >= DEFAULT_MAX_DEPTH:
+            raise OracleBoundError(f"oracle search depth exceeds {DEFAULT_MAX_DEPTH}")
+        stack.append(holds(*question))
+        verdict = None
+    return verdict
 
 
 def family(n: int) -> Formula:

@@ -8,24 +8,34 @@ its rendered tuple table. The image digests cover the thread image that
 ``compress`` returns, saved as a thread file; they were taken before the
 image was built by one walk over the tree instead of from ``threads()``.
 The family(6) digest, the same recipe, was taken while ``save_deduction``
-still wrote ``json.dumps(to_dict(d), indent=2)``.
+still wrote ``json.dumps(to_dict(d), indent=2)``. Formulas hash by
+identity, so the last test recomputes every digest in a fresh interpreter
+that first interned thousands of other formulas in a shuffled order.
 """
 
 import hashlib
 import io
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
+from impdag.assignment import search_choice
 from impdag.checker import encode, render_tuples
 from impdag.deduction import Node, Rule, build, renumber, save_deduction, to_dict
 from impdag.formula import parse_infix
 from impdag.fst import ThreadSet, save_threads
+from impdag.gen import enumerate_formulas
 from impdag.prover import family, prove
 from impdag.transform import compress, level
 
 from conftest import random_separation_dag
 from test_acceptance import CORPUS
+from test_cli import CHILD_ENV
+from test_search_differential import FIXTURES
 
 DIGESTS = {
     "a -> a": "cc2c91360ce6d96957277e03310da4f10f5e44c21b68142a3a2e05a882281a24",
@@ -123,9 +133,69 @@ def test_writer_text_is_the_indented_document():
         assert buffer.getvalue() == json.dumps(to_dict(d), indent=2) + "\n", index
 
 
-@pytest.mark.parametrize("name", list(DIGESTS))
-def test_thread_images_are_byte_identical(name):
-    _, image = compress(level(prove(_formula(name))))
+def _image_digest(formula):
+    _, image = compress(level(prove(formula)))
     buffer = io.StringIO()
     save_threads(ThreadSet(image), buffer)
-    assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == IMAGE_DIGESTS[name]
+    return hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(DIGESTS))
+def test_thread_images_are_byte_identical(name):
+    assert _image_digest(_formula(name)) == IMAGE_DIGESTS[name]
+
+
+def _choices():
+    return [None if c is None else [[list(e), b] for e, b in c.items()]
+            for c in map(search_choice, (make() for make in FIXTURES))]
+
+
+def _survey_digest():
+    """One digest over the proof and compressed dag of every provable
+    formula over three atoms up to weight 11, which gives the prover
+    sequents with more than one step to choose from."""
+    digest = hashlib.sha256()
+    for f in enumerate_formulas(11, ("a", "b", "g")):
+        tree = prove(f)
+        for d in () if tree is None else (tree, compress(tree)[0]):
+            buffer = io.StringIO()
+            save_deduction(d, buffer)
+            digest.update(buffer.getvalue().encode())
+    return digest.hexdigest()
+
+
+# Interns the formulas read from stdin in the order given, before anything
+# else builds one, then prints the digests and choices the test compares.
+PROBE = """
+import json, sys
+from impdag.formula import parse_prefix
+for text in json.load(sys.stdin):
+    parse_prefix(text)
+import test_artifacts as a
+print(json.dumps([
+    {name: a._pipeline_digest(a._formula(name)) for name in a.DIGESTS},
+    a._pipeline_digest(a.family(6)),
+    {name: a._image_digest(a._formula(name)) for name in a.DIGESTS},
+    a._choices(),
+    a._survey_digest(),
+]))
+"""
+
+
+def test_outputs_do_not_depend_on_the_interning_order():
+    # Formulas hash by identity, so interning others first, in a shuffled
+    # order, moves every set and dict of formulas to another order.
+    formulas = enumerate_formulas(9, ("a", "b", "g")) + [family(n) for n in range(1, 5)]
+    texts = [f.prefix for f in formulas]
+    random.Random(15).shuffle(texts)
+    env = dict(CHILD_ENV)
+    env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(__file__), env["PYTHONPATH"]])
+    done = subprocess.run([sys.executable, "-c", PROBE], input=json.dumps(texts),
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert done.returncode == 0, done.stderr
+    digests, family_6, images, choices, survey = json.loads(done.stdout)
+    assert digests == DIGESTS
+    assert family_6 == FAMILY_6_DIGEST
+    assert images == IMAGE_DIGESTS
+    assert choices == _choices()
+    assert survey == _survey_digest()

@@ -15,8 +15,10 @@ from impdag.checker import parse_tuples
 from impdag.cli import main
 from impdag.deduction import Rule, build, canonical, load_deduction, save_deduction
 from impdag.deduction import threads as dag_threads
-from impdag.formula import to_infix
+from impdag.formula import to_infix, weight
 from impdag.fst import ThreadSet, load_threads, save_threads
+from impdag.prover import family, prove
+from impdag.transform import level
 from impdag.checker import encode, render_tuples
 
 from conftest import (
@@ -456,6 +458,20 @@ class TestBench:
         lines = out.strip().splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("n  weight")
+
+    def test_leveled_column_counts_the_padded_tree(self, capsys, monkeypatch):
+        def no_level(tree):
+            raise AssertionError("bench builds no leveled tree")
+
+        monkeypatch.setattr("impdag.transform.level", no_level)
+        code, out, _ = run(["bench", "--family", "3"], capsys)
+        assert code == 0
+        rows = [line.split() for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 3
+        for n, row in enumerate(rows, 1):
+            tree = prove(family(n))
+            assert row[:4] == [str(n), str(weight(family(n))), str(len(tree.nodes)),
+                               str(len(level(tree).nodes))]
 
     def test_max_guard(self, capsys):
         code, _, err = run(["bench", "--family", "3", "--max", "100"], capsys)

@@ -14,7 +14,6 @@ from impdag.formula import (
     parse_infix,
     parse_prefix,
     to_infix,
-    to_prefix,
     weight,
 )
 from impdag.gen import random_formula
@@ -103,8 +102,8 @@ def test_to_infix_minimal_parentheses():
     assert to_infix(Implication(Implication(A, B), G)) == "(a -> b) -> g"
 
 
-def test_to_prefix_single_spaces():
-    assert to_prefix(Implication(Implication(A, B), G)) == "> > a b g"
+def test_prefix_single_spaces():
+    assert Implication(Implication(A, B), G).prefix == "> > a b g"
 
 
 def test_weight_counts_atoms_plus_arrows():
@@ -117,7 +116,7 @@ def test_weight_equals_prefix_token_count():
     rng = random.Random(7)
     for _ in range(200):
         f = random_formula(rng, max_weight=13)
-        assert weight(f) == len(to_prefix(f).split())
+        assert weight(f) == len(f.prefix.split())
 
 
 def test_round_trip_infix_and_prefix():
@@ -125,11 +124,11 @@ def test_round_trip_infix_and_prefix():
     for _ in range(300):
         f = random_formula(rng, max_weight=15)
         assert parse_infix(to_infix(f)) == f
-        assert parse_prefix(to_prefix(f)) == f
+        assert parse_prefix(f.prefix) == f
 
 
 # Frozen dataclasses with the field layout formulas had before they were
-# hash-consed; hashes and reprs must not change.
+# hash-consed; reprs must not change.
 _OldAtom = make_dataclass("Atom", [("name", str)], frozen=True)
 _OldImplication = make_dataclass(
     "Implication", [("antecedent", object), ("consequent", object)], frozen=True
@@ -158,8 +157,23 @@ def test_hash_and_repr_match_the_dataclass_layout():
     rng = random.Random(31)
     for _ in range(300):
         f = random_formula(rng, max_weight=15)
-        assert hash(f) == hash(_old(f))
         assert repr(f) == repr(_old(f))
+
+
+def test_formulas_hash_by_identity():
+    rng = random.Random(41)
+    formulas = [A, Atom("probe_hash"), *(random_formula(rng, max_weight=15) for _ in range(100))]
+    for f in formulas:
+        assert hash(f) == object.__hash__(f)
+    assert "__hash__" not in vars(Atom) and "__hash__" not in vars(Implication)
+
+
+@pytest.mark.parametrize("other", ["a", 1, None, []], ids=repr)
+def test_implication_rejects_a_non_formula_on_either_side(other):
+    for args in ((other, A), (A, other)):
+        with pytest.raises(TypeError) as err:
+            Implication(*args)
+        assert str(err.value) == "Implication needs two formulas"
 
 
 def test_pickle_and_copy_return_the_interned_object():
@@ -187,7 +201,7 @@ def test_deep_formulas_need_no_recursion():
     chain = parse_infix(_chain(1500))
     assert weight(chain) == 2999
     assert to_infix(chain) == _chain(1500)
-    assert parse_prefix(to_prefix(chain)) is chain
+    assert parse_prefix(chain.prefix) is chain
     assert repr(chain).count("Implication(") == 1499
     nested = parse_infix("(" * 1200 + "a" + ")" * 1200 + " -> a")
     assert nested is Implication(A, A)

@@ -172,6 +172,17 @@ class TestOracle:
             with pytest.raises(OracleBoundError, match="search depth exceeds 400"):
                 oracle_valid(double_negations(n), bound=10**8)
 
+    def test_deep_search_from_a_deep_caller(self):
+        # a caller already about 900 frames deep, under the default limit
+        def nested(frames):
+            if frames < 900:
+                return nested(frames + 1)
+            with pytest.raises(OracleBoundError, match="search depth exceeds 400"):
+                oracle_valid(double_negations(400), bound=10**8)
+            return oracle_valid(double_negations(399), bound=10**8)
+
+        assert nested(stack_depth()) is False
+
 
 def double_negations(n):
     """F_n -> b, where F_0 = a and F_(k+1) = (F_k -> b) -> b."""

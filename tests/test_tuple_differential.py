@@ -49,7 +49,6 @@ from impdag.formula import (
     is_implication,
     parse_infix,
     parse_prefix,
-    to_prefix,
     weight,
 )
 from impdag.gen import random_local_dag
@@ -262,7 +261,7 @@ def reference_check_tuples(t):
 def reference_render_tuples(t):
     lines = [f"{t.a} {t.b}"]
     for i, f in enumerate(t.formula_table):
-        lines.append(f"{i + 1}\t{to_prefix(f)}")
+        lines.append(f"{i + 1}\t{f.prefix}")
     for r in t.rows:
         lines.append(
             f"{r.x} {r.y1} {r.y2} {r.h} {r.h1} {r.h2} {r.chi} "

@@ -112,7 +112,7 @@ def evaluate_symbolic(d: Deduction) -> dict[int, Value]:
     value is either a plain formula set or a combination of such values.
     """
     vals: dict[int, Value] = {}
-    for n in _by_descending_height(d):
+    for n in d._memo("_descending", _by_descending_height):
         if n.rule is Rule.LEAF:
             vals[n.id] = frozenset((n.formula,))
         elif n.rule is Rule.R:
@@ -277,7 +277,7 @@ class _Program:
         self.branches: list[tuple[int, ...]] = []
         self.steps: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
         ids, vals, formulas, edges = self.ids, self.base, self.formulas, self.edges
-        for n in _by_descending_height(d):
+        for n in d._memo("_descending", _by_descending_height):
             rule = n.rule
             if rule is Rule.S:
                 continue
@@ -331,10 +331,10 @@ class _Program:
         return vals
 
 
-def _by_descending_height(d: Deduction) -> list[Node]:
+def _by_descending_height(d: Deduction) -> tuple[Node, ...]:
     order = sorted(d.nodes.values(), key=attrgetter("id"))
     order.sort(key=attrgetter("height"), reverse=True)  # stable: ids stay ascending
-    return order
+    return tuple(order)
 
 
 def _discharged(n: Node) -> Formula:

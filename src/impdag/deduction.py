@@ -20,12 +20,12 @@ root formula when every thread is closed.
 Trees are numbered 1..n breadth first by ``lay_out`` as they are grown;
 an existing dag is renumbered the same way by ``canonical``.
 
-A deduction keeps its parent map and its local-correctness report once
-computed; copies and pickles drop them and compute them afresh.
+A deduction keeps its parent map, local-correctness report and evaluation
+order once computed; copies and pickles drop them and compute them afresh.
 
 A deduction file holds the JSON document of ``to_dict``. ``save_deduction``
-writes its text directly, with one ``json.dumps`` per distinct formula, and
-``from_dict`` checks each entry in one pass before ``build`` checks the dag.
+writes its text directly, with one ``json.dumps`` per distinct formula;
+``from_dict`` checks each entry, and all child ids in one scan, before ``build``.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from enum import Enum
+from operator import itemgetter
 from typing import IO, Callable, Iterable, Mapping
 
 from .formula import Formula, FormulaSyntaxError, is_implication, parse_infix, to_infix
@@ -185,12 +186,12 @@ class FormatError(ValueError):
 class Deduction(Record):
     """A node map and its root id; unhashable, as the map is a dict.
 
-    ``parents`` and the ``check_local_correctness`` report are kept in
-    private slots once computed, which equality, ``repr``, copies and
-    pickles ignore. The node map must not change after either is read.
+    ``parents``, the ``check_local_correctness`` report and ``assignment``'s
+    node order are kept in private slots once computed, which equality,
+    ``repr``, copies and pickles ignore. The node map must not change once any is read.
     """
 
-    __slots__ = ("nodes", "root", "_parents", "_report")
+    __slots__ = ("nodes", "root", "_parents", "_report", "_descending")
     nodes: dict[int, Node]
     root: int
 
@@ -405,6 +406,7 @@ def to_dict(d: Deduction) -> dict:
 
 _RULES = {r.value: r for r in Rule}
 _FIELDS = {"id", "formula", "rule", "height", "children"}
+_ENTRY = itemgetter("id", "formula", "rule", "height", "children")
 
 
 def from_dict(obj: object) -> Deduction:
@@ -418,34 +420,37 @@ def from_dict(obj: object) -> Deduction:
         raise FormatError("'root' must be a node id")
     if not isinstance(obj["nodes"], list):
         raise FormatError("'nodes' must be a list")
-    nodes = []
+    nodes: list[Node] = []
     parsed: dict[str, Formula] = {}  # each distinct formula text is parsed once
-    for entry in obj["nodes"]:
-        if type(entry) is not dict:
-            raise FormatError("each node must be an object")
-        try:
-            nid, text, rule, height, kids = (
-                entry["id"], entry["formula"], entry["rule"], entry["height"], entry["children"]
-            )
-        except KeyError:
-            raise FormatError(f"node entry missing {sorted(_FIELDS - entry.keys())}") from None
-        if type(nid) is not int:
-            raise FormatError("node id must be an integer")
-        if type(text) is not str:
-            raise FormatError(f"node {nid}: formula must be a string")
-        formula = parsed.get(text)
-        if formula is None:
+    try:
+        for entry in obj["nodes"]:
+            if type(entry) is not dict:
+                raise FormatError("each node must be an object")
             try:
-                formula = parsed[text] = parse_infix(text)
-            except FormulaSyntaxError as exc:
-                raise FormatError(f"node {nid}: bad formula: {exc}") from exc
-        if type(rule) is not str or rule not in _RULES:
-            raise FormatError(f"node {nid}: unknown rule {rule!r}")
-        if type(height) is not int:
-            raise FormatError(f"node {nid}: height must be an integer")
-        if type(kids) is not list or not all(type(c) is int for c in kids):
-            raise FormatError(f"node {nid}: children must be a list of ids")
-        nodes.append(Node(nid, formula, _RULES[rule], height, tuple(kids)))
+                nid, text, rule, height, kids = _ENTRY(entry)
+            except KeyError:
+                raise FormatError(f"node entry missing {sorted(_FIELDS - entry.keys())}") from None
+            if type(nid) is not int:
+                raise FormatError("node id must be an integer")
+            if type(text) is not str:
+                raise FormatError(f"node {nid}: formula must be a string")
+            formula = parsed.get(text)
+            if formula is None:
+                try:
+                    formula = parsed[text] = parse_infix(text)
+                except FormulaSyntaxError as exc:
+                    raise FormatError(f"node {nid}: bad formula: {exc}") from exc
+            if type(rule) is not str or rule not in _RULES:
+                raise FormatError(f"node {nid}: unknown rule {rule!r}")
+            if type(height) is not int:
+                raise FormatError(f"node {nid}: height must be an integer")
+            if type(kids) is not list:
+                raise FormatError(f"node {nid}: children must be a list of ids")
+            nodes.append(Node(nid, formula, _RULES[rule], height, tuple(kids)))
+    finally:  # one flat scan of the child ids read, before a later entry's error
+        if not {type(c) for n in nodes for c in n.children} <= {int}:
+            bad = next(n for n in nodes if any(type(c) is not int for c in n.children))
+            raise FormatError(f"node {bad.id}: children must be a list of ids") from None
     return build(nodes, obj["root"])
 
 

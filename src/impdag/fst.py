@@ -19,6 +19,16 @@ a per-edge table giving the antecedent an I parent discharges and an E
 parent's other premise.  A thread is closed when its leaf formula is among
 the antecedents discharged along it; each new prefix leaving an E node
 records the key of the prefix taking the other premise instead.
+
+A thread image that ``transform.compress`` returns, given with the very dag
+object it was built for, is decided per (class, height) item instead. It
+holds the images of all padded-tree threads, so it is dense (each dag node
+stands for an item on some thread) and preserves eliminations (the thread
+through an E node's other premise shares its item prefix). It is closed
+exactly when the root class leaves no leaf formula open under the rules of
+``evaluate_symbolic``: a leaf opens its formula, I discharges its
+antecedent, other rules unite their children's. Otherwise its open threads
+are found by the walk, as for any other collection.
 """
 
 from __future__ import annotations
@@ -190,13 +200,25 @@ def _survey(
     return report, step, paths, elims
 
 
+def _by_classes(d: Deduction, collection: ThreadSet) -> FstReport | None:
+    """The report on a closed ``compress`` image of ``d`` itself, else None."""
+    image = collection.threads
+    if getattr(image, "dag", None) is not d:
+        return None
+    opened: list[set] = []  # per class, children first: the leaf formulas left open
+    for formula, rule, children in image.shapes:
+        leaves = {formula} if rule is Rule.LEAF else set().union(*(opened[k] for k in children))
+        opened.append(leaves - {formula.antecedent} if rule is Rule.I else leaves)
+    return None if opened[image.root] else FstReport(True, True, True, ())
+
+
 def check_fst(d: Deduction, collection: ThreadSet) -> FstReport:
     """Evaluate density, closure, and elimination preservation.
 
     Raises ValueError if some element is not a maximal thread of ``d``;
     the three conditions themselves are report-valued, never raised.
     """
-    return _survey(d, collection)[0]
+    return _by_classes(d, collection) or _survey(d, collection)[0]
 
 
 def cleanse_via_fst(d: Deduction, collection: ThreadSet) -> tuple[Choice, Deduction]:
@@ -212,12 +234,14 @@ def cleanse_via_fst(d: Deduction, collection: ThreadSet) -> tuple[Choice, Deduct
     FstError when the set fails a fundamental-set condition and
     CleansingError when no pairing thread agrees with the commitments.
     """
-    report, step, paths, elims = _survey(d, collection)
-    if not report.is_fst:
-        names = ("density", "closure", "elimination preservation")
-        flags = (report.dense, report.all_closed, report.e_preserving)
-        failed = ", ".join(name for name, ok in zip(names, flags) if not ok)
-        raise FstError(f"thread collection is not fundamental: fails {failed}", report)
+    separated = any(node.rule is Rule.S for node in d.nodes.values())
+    if separated or not _by_classes(d, collection):
+        report, step, paths, elims = _survey(d, collection)
+        if not report.is_fst:
+            names = ("density", "closure", "elimination preservation")
+            flags = (report.dense, report.all_closed, report.e_preserving)
+            failed = ", ".join(name for name, ok in zip(names, flags) if not ok)
+            raise FstError(f"thread collection is not fundamental: fails {failed}", report)
 
     listed = collection.threads
     choice: Choice = {}
@@ -240,7 +264,7 @@ def cleanse_via_fst(d: Deduction, collection: ThreadSet) -> tuple[Choice, Deduct
         queue.append(pos)
 
     # Without S nodes every pick is consistent and nothing is committed.
-    if any(node.rule is Rule.S for node in d.nodes.values()):
+    if separated:
         through: defaultdict[int, list[int]] = defaultdict(list)
         for pos, path in enumerate(paths):
             for pid in path:

@@ -83,6 +83,11 @@ def level(t: Deduction) -> Deduction:
     return lay_out((t.root, 0), expand)
 
 
+class _Image(tuple):
+    """The threads ``compress`` returns, with the dag object they were built
+    for (``dag``), the class table (``shapes``) and the root class (``root``)."""
+
+
 def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
     """Merge equal-formula nodes per level of a tree.
 
@@ -101,6 +106,10 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
     unary chain of items, such as a padding chain, is one step: its image
     ids are listed once per item that starts it, so the walk takes one
     step per branch of the padded tree, not one per padded node.
+
+    The image also keeps the returned dag object and the class table, so
+    ``fst`` decides ``ThreadSet(image)`` with that very dag per class; any
+    other collection, ``tuple(image)`` included, is checked thread by thread.
     """
     if not is_tree_like(t):
         raise ValueError("compress() expects a tree-like deduction")
@@ -195,7 +204,9 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
             stack.extend((k, h + 1) for k in reversed(children))
         else:
             images[tuple(path)] = None
-    return out, tuple(images)
+    image = _Image(images)
+    image.dag, image.shapes, image.root = out, shapes, class_of[t.root]
+    return out, image
 
 
 def s_eliminate(d: Deduction, choice: dict[tuple[int, int], int]) -> Deduction:

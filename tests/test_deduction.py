@@ -223,6 +223,16 @@ def _document(root=1, nodes=None, **second):
 
 
 _BAD_ENTRY = {"id": 1, "formula": "a ->", "rule": "I", "height": 0, "children": [2]}
+_BAD_IDS = {"id": 1, "formula": "a -> a", "rule": "I", "height": 0, "children": ["2"]}
+_FIRST_IDS = "node 1: children must be a list of ids"
+
+
+def _second(**fields):
+    """The second node of ``_document``'s two, with ``fields`` replaced and a
+    field given as ``...`` removed."""
+    entry = {"id": 2, "formula": "a", "rule": "LEAF", "height": 1, "children": []}
+    entry.update(fields)
+    return {k: v for k, v in entry.items() if v is not ...}
 _STRING = "node 2: formula must be a string"
 _CUT = "bad formula: unexpected end of input (position 4)"
 
@@ -287,6 +297,17 @@ SCHEMA_ERRORS = [
     (_document(children=[True]), "node 2: children must be a list of ids"),
     (_document(children=["2"]), "node 2: children must be a list of ids"),
     (_document(children=[3, 2.0]), "node 2: children must be a list of ids"),
+    # Child ids are checked in one scan after the entries; an entry's bad
+    # child ids still win over any later entry's error.
+    (_document(nodes=[_BAD_IDS, _second(rule="Q")]), _FIRST_IDS),
+    (_document(nodes=[_BAD_IDS, "x"]), _FIRST_IDS),
+    (_document(nodes=[_BAD_IDS, _second(formula=...)]), _FIRST_IDS),
+    (_document(nodes=[_BAD_IDS, _second(children=[None])]), _FIRST_IDS),
+    (_document(nodes=[_BAD_IDS, _second(), _second()]), _FIRST_IDS),
+    (_document(nodes=[{**_BAD_IDS, "rule": "Q"}, _second(children=["2"])]),
+     "node 1: unknown rule 'Q'"),
+    (_document(nodes=[_second(id=1), _second(children=[1.0]), _second(height=None)]),
+     "node 2: children must be a list of ids"),
 ]
 
 

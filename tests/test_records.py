@@ -8,7 +8,7 @@ import pickle
 
 import pytest
 
-from impdag.assignment import SepValue
+from impdag.assignment import SepValue, _by_descending_height, evaluate_symbolic, prov
 from impdag.deduction import Deduction, Node, Overflow, Rule
 from impdag.formula import parse_infix
 from impdag.fst import FstReport, ThreadSet
@@ -95,3 +95,26 @@ def test_parents_are_computed_once_and_not_compared():
     assert parents == {
         i: tuple(sorted(n.id for n in d.nodes.values() if i in n.children)) for i in d.nodes
     }
+
+
+def test_node_order_is_sorted_once_and_not_compared(monkeypatch):
+    import impdag.assignment as assignment
+
+    sorts = []
+    monkeypatch.setattr(
+        assignment, "_by_descending_height", lambda d: sorts.append(d) or _by_descending_height(d)
+    )
+    d, fresh = diamond_dag(), diamond_dag()
+    evaluate_symbolic(d)
+    assert not prov(d)  # the R branch leaves leaf a open
+    assert sorts == [d]
+    order = d._descending
+    assert [n.id for n in order] == [4, 2, 3, 1]
+    assert d == fresh and repr(d) == repr(fresh)
+    for clone in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert clone == d and repr(clone) == repr(d)
+        assert getattr(clone, "_descending", None) is None
+        evaluate_symbolic(clone)
+        assert sorts[-1] is clone
+    assert len(sorts) == 4
+    assert d._descending is order

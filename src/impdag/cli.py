@@ -332,14 +332,18 @@ def _cmd_fst_check(args) -> int:
 
 def _cmd_bench(args) -> int:
     from .fst import CleansingError, FstError, ThreadSet, cleanse_via_fst
-    from .prover import family, prove
+    from .prover import ResourceLimitError, family, prove
     from .transform import compress
     cap = args.max
     print("n  weight  tree  leveled  dag  cleansed  prove_s  compress_s  cleanse_s")
     for n in range(1, args.family + 1):
         f = family(n)
         t0 = time.perf_counter()
-        d = prove(f)
+        try:
+            d = prove(f)
+        except ResourceLimitError as exc:
+            _note(f"family {n}: search gave up: {exc}")
+            return LIMIT
         t1 = time.perf_counter()
         assert d is not None
         # compress pads by itself; level would add an R node per level a leaf sits above the bottom

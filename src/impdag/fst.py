@@ -290,7 +290,8 @@ def cleanse_via_fst(d: Deduction, collection: ThreadSet) -> tuple[Choice, Deduct
                 for parent in d.parents.get(node.id, ()):
                     choice.setdefault((parent, node.id), 1)
 
-    cleansed = s_eliminate(d, choice)
+    # Without S nodes nothing is eliminated, and a dense set reaches every node.
+    cleansed = s_eliminate(d, choice) if separated else d
     if not prov(cleansed):
         raise CleansingError(
             "eliminated deduction is not proving; branch commitments were inconsistent"

@@ -5,9 +5,12 @@ search (in the style of Dyckhoff's LJT restricted to implication) whose
 steps return natural-deduction proofs, on an explicit stack of sequents
 bounded in depth by ``DEFAULT_MAX_DEPTH``. Each search keeps a memo of the
 sequents it has settled, with their proofs, so a sequent is proved once and
-every parent shares its proof; the tree-like deduction is laid out from it. Every output is
-re-checked against the structural checker and the assignment semantics
-before being returned.
+every parent shares its proof. A step records each substitution of a proof
+for a hypothesis, and the walk laying out the tree-like deduction applies
+them: to every leaf carrying the hypothesis, discharged or not, innermost
+substitution first, and to the proof put in only for the substitutions
+enclosing its own. Every output is re-checked against the structural
+checker and the assignment semantics before being returned.
 
 ``oracle_valid`` decides the same validity question with a separate
 implementation: different context representation, different traversal
@@ -60,8 +63,10 @@ class OracleBoundError(ValueError):
 
 Context = tuple[Formula, ...]
 # A proof tree: (formula, rule, children). Trees are shared, not copied,
-# between the parents that use them.
+# between the parents that use them. (hypothesis, _SUB, (premise, proof))
+# is premise with proof put for each leaf carrying hypothesis.
 Tree = tuple
+_SUB = object()
 
 
 def _insert(context: Context, f: Formula) -> Context:
@@ -106,7 +111,7 @@ def _search(context: Context, goal: Formula):
         premise = yield _insert(_remove(context, chain), b), goal
         if premise is None:
             return None
-        return _replace(premise, b, (b, Rule.E, (_leaf(chain.antecedent), _leaf(chain))))
+        return (b, _SUB, (premise, (b, Rule.E, (_leaf(chain.antecedent), _leaf(chain)))))
     for h in context:
         if not (isinstance(h, Implication) and isinstance(h.antecedent, Implication)):
             continue
@@ -124,8 +129,8 @@ def _search(context: Context, goal: Formula):
                 Rule.I,
                 ((b, Rule.E, ((head, Rule.I, (_leaf(head.consequent),)), _leaf(h))),),
             )
-            bridge = (b, Rule.E, (_replace(minor, flattened, discharge), _leaf(h)))
-            return _replace(major, b, bridge)
+            bridge = (b, Rule.E, ((flattened, _SUB, (minor, discharge)), _leaf(h)))
+            return (b, _SUB, (major, bridge))
     return None
 
 
@@ -158,36 +163,25 @@ def _settle(f: Formula, max_nodes: int) -> Tree | None:
                     return proof
 
 
-def _replace(tree: Tree, hypothesis: Formula, proof: Tree) -> Tree:
-    """Substitute a proof for every open leaf carrying hypothesis; each
-    distinct subtree is rewritten once, and one without such a leaf is
-    returned as it is. Runs on an explicit stack, children before their
-    parent, so the depth of ``tree`` costs no Python frames."""
-    done: dict[int, Tree] = {}
-    stack = [tree]
-    while stack:
-        t = stack[-1]
-        if id(t) in done:
-            stack.pop()
+def _expand(item: tuple[Tree, int, tuple | None]):
+    """Lay-out step for (tree, height, env): ``env`` holds the pending
+    substitutions as (hypothesis, proof, outer env) links, innermost first,
+    and a proof put for a leaf is laid out under its link's outer env."""
+    tree, height, env = item
+    while True:
+        formula, rule, children = tree
+        if rule is _SUB:
+            tree, proof = children
+            env = (formula, proof, env)
             continue
-        formula, rule, children = t
         if rule is Rule.LEAF:
-            done[id(t)] = proof if formula is hypothesis else t
-            stack.pop()
-            continue
-        pending = [c for c in children if id(c) not in done]
-        if pending:
-            stack += pending
-            continue
-        stack.pop()
-        new = tuple([done[id(c)] for c in children])
-        done[id(t)] = t if all(a is b for a, b in zip(new, children)) else (formula, rule, new)
-    return done[id(tree)]
-
-
-def _expand(item: tuple[Tree, int]):
-    (formula, rule, children), height = item
-    return formula, rule, height, ((c, height + 1) for c in children)
+            entry = env
+            while entry is not None and entry[0] is not formula:
+                entry = entry[2]
+            if entry is not None:
+                _, tree, env = entry
+                continue
+        return formula, rule, height, ((c, height + 1, env) for c in children)
 
 
 def prove(f: Formula, *, max_nodes: int = DEFAULT_MAX_NODES) -> Deduction | None:
@@ -203,7 +197,7 @@ def prove(f: Formula, *, max_nodes: int = DEFAULT_MAX_NODES) -> Deduction | None
     proof = _settle(f, max_nodes)
     if proof is None:
         return None
-    d = lay_out((proof, 0), _expand, max_nodes)
+    d = lay_out((proof, 0, None), _expand, max_nodes)
     if isinstance(d, Overflow):
         raise ResourceLimitError("nodes", max_nodes)
     root = d.node(d.root)

@@ -17,7 +17,7 @@ from impdag.deduction import Rule, build, canonical, load_deduction, save_deduct
 from impdag.deduction import threads as dag_threads
 from impdag.formula import to_infix, weight
 from impdag.fst import ThreadSet, load_threads, save_threads
-from impdag.prover import family, prove
+from impdag.prover import ResourceLimitError, family, prove
 from impdag.transform import level
 from impdag.checker import encode, render_tuples
 
@@ -477,6 +477,17 @@ class TestBench:
         code, _, err = run(["bench", "--family", "3", "--max", "100"], capsys)
         assert code == 3
         assert "--max" in err
+
+    def test_prover_budget_exits_with_the_cap_code(self, capsys, monkeypatch):
+        def over_budget(f):
+            raise ResourceLimitError("nodes", 7)
+
+        monkeypatch.setattr("impdag.prover.prove", over_budget)
+        code, out, err = run(["bench", "--family", "2"], capsys)
+        assert code == 3
+        assert len(out.strip().splitlines()) == 1
+        assert "family 1: search gave up: nodes budget of 7 exceeded" in err
+        assert "Traceback" not in err
 
 
 class TestSubprocessPipeline:

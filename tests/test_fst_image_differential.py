@@ -76,6 +76,8 @@ def test_proofs_are_decided_per_class(name, make, surveys):
     dag, image = make()
     assert not is_separated(dag)
     assert compare(dag, image, surveys) == 0
+    _, cleansed = cleanse_via_fst(dag, ThreadSet(image))
+    assert to_dict(cleansed) == to_dict(dag)
 
 
 def test_separation_dags_match_the_thread_walk(surveys):
@@ -86,6 +88,9 @@ def test_separation_dags_match_the_thread_walk(surveys):
         kinds.add((closed, separated))
         # check_fst walks only an open image; cleansing also walks an S dag's.
         assert compare(dag, image, surveys) == (not closed) + (not closed or separated)
+        if closed and not separated:
+            _, cleansed = cleanse_via_fst(dag, ThreadSet(image))
+            assert to_dict(cleansed) == to_dict(dag)
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}, kinds
 
 

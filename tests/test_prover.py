@@ -119,9 +119,10 @@ class TestProve:
         assert outcome(chain(199)) == proof
 
     def test_long_chain_fits_a_small_stack(self):
-        # The search and the substitutions run on explicit stacks, so
-        # prove(chain(199)) needs only a few frames above its caller: from
-        # the top of a fresh interpreter a recursion limit of 10 suffices.
+        # The search runs on an explicit stack and the layout applies the
+        # substitutions in a loop, so prove(chain(199)) needs only a few
+        # frames above its caller: from the top of a fresh interpreter a
+        # recursion limit of 10 suffices.
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(stack_depth() + 50)
         try:

@@ -26,6 +26,12 @@ SAME_FORMULA_SUBPROOFS = [
     "((a -> a -> b) -> a) -> (a -> (b -> a) -> b) -> a",
     "(c -> c -> b) -> ((b -> b) -> (c -> b) -> c) -> b",
 ]
+# Proofs that substitute the same hypothesis at two nested levels, so the
+# inner substitution must shadow the outer one.
+NESTED_SAME_HYPOTHESIS = [
+    "((((a -> a) -> a) -> a) -> a) -> a",
+    "((c -> b) -> d -> a) -> (a -> c) -> (b -> b) -> d -> (d -> b) -> c",
+]
 
 
 @dataclass(frozen=True)
@@ -200,7 +206,7 @@ def chain(k):
 
 
 def formulas():
-    texts = CORPUS + [PEIRCE] + SAME_FORMULA_SUBPROOFS
+    texts = CORPUS + [PEIRCE] + SAME_FORMULA_SUBPROOFS + NESTED_SAME_HYPOTHESIS
     out = [parse_infix(t) for t in texts]
     out += [family(n) for n in range(1, 8)]
     out += enumerate_formulas(9, ("a", "b")) + enumerate_formulas(7, ("a", "b", "c"))

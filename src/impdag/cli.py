@@ -32,7 +32,6 @@ from .deduction import (
     Overflow,
     Rule,
     StructureError,
-    is_tree_like,
     load_deduction,
     proves_by_threads,
     read_text,
@@ -204,8 +203,6 @@ def _cmd_oracle(args) -> int:
 def _cmd_compress(args) -> int:
     from .transform import compress
     d = _load_dag(args.tree)
-    if not is_tree_like(d):
-        raise CliError(MALFORMED, "compress needs a tree-like deduction; 'unfold' produces one")
     try:
         dag, image = compress(d)
     except ValueError as exc:
@@ -334,6 +331,9 @@ def _cmd_bench(args) -> int:
     from .fst import CleansingError, FstError, ThreadSet, cleanse_via_fst
     from .prover import ResourceLimitError, family, prove
     from .transform import compress
+    for option in ("family", "max"):
+        if getattr(args, option) < 1:
+            raise CliError(MALFORMED, f"--{option} must be at least 1")
     cap = args.max
     print("n  weight  tree  leveled  dag  cleansed  prove_s  compress_s  cleanse_s")
     for n in range(1, args.family + 1):

@@ -20,15 +20,12 @@ parent's other premise.  A thread is closed when its leaf formula is among
 the antecedents discharged along it; each new prefix leaving an E node
 records the key of the prefix taking the other premise instead.
 
-A thread image that ``transform.compress`` returns, given with the very dag
-object it was built for, is decided per (class, height) item instead. It
-holds the images of all padded-tree threads, so it is dense (each dag node
-stands for an item on some thread) and preserves eliminations (the thread
-through an E node's other premise shares its item prefix). It is closed
-exactly when the root class leaves no leaf formula open under the rules of
-``evaluate_symbolic``: a leaf opens its formula, I discharges its
-antecedent, other rules unite their children's. Otherwise its open threads
-are found by the walk, as for any other collection.
+A thread image that ``transform.compress`` returns for a dag without
+separation nodes, given with the very dag object it was built for, is
+decided by ``prov`` instead. It lists every thread of that dag, so it is
+dense and preserves eliminations, and ``prov`` holds exactly when each of
+those threads is closed. When ``prov`` fails, or the dag has separation
+nodes, the image is walked as any other collection is.
 """
 
 from __future__ import annotations
@@ -200,25 +197,23 @@ def _survey(
     return report, step, paths, elims
 
 
-def _by_classes(d: Deduction, collection: ThreadSet) -> FstReport | None:
-    """The report on a closed ``compress`` image of ``d`` itself, else None."""
-    image = collection.threads
-    if getattr(image, "dag", None) is not d:
-        return None
-    opened: list[set] = []  # per class, children first: the leaf formulas left open
-    for formula, rule, children in image.shapes:
-        leaves = {formula} if rule is Rule.LEAF else set().union(*(opened[k] for k in children))
-        opened.append(leaves - {formula.antecedent} if rule is Rule.I else leaves)
-    return None if opened[image.root] else FstReport(True, True, True, ())
+def _proven_image(d: Deduction, collection: ThreadSet) -> bool:
+    """Whether ``collection`` is ``compress``'s image of an S-free ``d`` itself and ``prov(d)``."""
+    if getattr(collection.threads, "dag", None) is not d:
+        return False
+    return all(n.rule is not Rule.S for n in d.nodes.values()) and prov(d)
 
 
 def check_fst(d: Deduction, collection: ThreadSet) -> FstReport:
     """Evaluate density, closure, and elimination preservation.
 
     Raises ValueError if some element is not a maximal thread of ``d``;
-    the three conditions themselves are report-valued, never raised.
+    the three conditions themselves are report-valued, never raised. The
+    ``compress`` image of an S-free ``d`` itself is not walked when ``prov(d)``.
     """
-    return _by_classes(d, collection) or _survey(d, collection)[0]
+    if _proven_image(d, collection):
+        return FstReport(True, True, True, ())
+    return _survey(d, collection)[0]
 
 
 def cleanse_via_fst(d: Deduction, collection: ThreadSet) -> tuple[Choice, Deduction]:
@@ -230,19 +225,21 @@ def cleanse_via_fst(d: Deduction, collection: ThreadSet) -> tuple[Choice, Deduct
     agree with the commitments so far; that thread is retained in turn.  Edges
     no retained thread crosses default to branch 1 and do not survive elimination.
 
+    The ``compress`` image of an S-free ``d`` itself gives ``({}, d)`` when ``prov(d)``.
     Returns the full commitment and the separation-free result.  Raises
     FstError when the set fails a fundamental-set condition and
     CleansingError when no pairing thread agrees with the commitments.
     """
-    separated = any(node.rule is Rule.S for node in d.nodes.values())
-    if separated or not _by_classes(d, collection):
-        report, step, paths, elims = _survey(d, collection)
-        if not report.is_fst:
-            names = ("density", "closure", "elimination preservation")
-            flags = (report.dense, report.all_closed, report.e_preserving)
-            failed = ", ".join(name for name, ok in zip(names, flags) if not ok)
-            raise FstError(f"thread collection is not fundamental: fails {failed}", report)
+    if _proven_image(d, collection):
+        return {}, d
+    report, step, paths, elims = _survey(d, collection)
+    if not report.is_fst:
+        names = ("density", "closure", "elimination preservation")
+        flags = (report.dense, report.all_closed, report.e_preserving)
+        failed = ", ".join(name for name, ok in zip(names, flags) if not ok)
+        raise FstError(f"thread collection is not fundamental: fails {failed}", report)
 
+    separated = any(node.rule is Rule.S for node in d.nodes.values())
     listed = collection.threads
     choice: Choice = {}
 

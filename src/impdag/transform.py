@@ -14,10 +14,11 @@ Compression maps original level h to two output layers: the merge layer
 2h holds one representative per distinct formula, the dispatch layer 2h+1
 holds the rule-carrying children (a single repetition dispatcher when the
 premise groups do not diverge, so the output stays uniformly leveled).
-Leaves sit on the last merge layer and get no dispatcher. The thread
-image hands each original thread to its representative/dispatcher
-rendering, which is exactly the thread-set input the cleansing machinery
-expects.
+Leaves sit on the last merge layer and get no dispatcher. The dag is built
+top down in one pass, each node made once with the breadth-first id
+``canonical`` would give it. The thread image hands each original thread
+to its representative/dispatcher rendering, which is exactly the
+thread-set input the cleansing machinery expects.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from .deduction import (
     canonical_map,
     is_tree_like,
     lay_out,
-    renumber,
 )
-from .formula import Formula, formula_key
+from .formula import Formula, formula_key, is_implication
 
 __all__ = [
     "DEFAULT_NODE_CAP",
@@ -85,7 +85,7 @@ def level(t: Deduction) -> Deduction:
 
 class _Image(tuple):
     """The threads ``compress`` returns, with the dag object they were built
-    for (``dag``), the class table (``shapes``) and the root class (``root``)."""
+    for (``dag``)."""
 
 
 def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
@@ -100,19 +100,16 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
     representative/dispatcher path it is carried to. Representatives on
     one merge layer have pairwise distinct formulas; a representative
     whose originals disagree on how they were concluded is a separation
-    node over one dispatcher per premise group.
+    node over one dispatcher per premise group. Without separation nodes,
+    the image is ``threads(dag)``, in the same order.
 
-    The image is walked depth first over (class, height) items, and a
-    unary chain of items, such as a padding chain, is one step: its image
-    ids are listed once per item that starts it, so the walk takes one
-    step per branch of the padded tree, not one per padded node.
-
-    The image also keeps the returned dag object and the class table, so
-    ``fst`` decides ``ThreadSet(image)`` with that very dag per class; any
-    other collection, ``tuple(image)`` included, is checked thread by thread.
+    The image also keeps the returned dag object, so ``fst`` decides
+    ``ThreadSet(image)`` with that very dag by ``prov`` when it has no
+    separation node; any other collection, ``tuple(image)`` included, is
+    checked thread by thread.
     """
     if not is_tree_like(t):
-        raise ValueError("compress() expects a tree-like deduction")
+        raise ValueError("compress() expects a tree-like deduction; 'unfold' produces one")
     report = check_local_correctness(t)
     if not report.ok:
         first = report.violations[0]
@@ -129,47 +126,52 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
         class_of[n.id] = interned.setdefault(key, len(interned))
     shapes = list(interned)
     bottom = t.height()
+    root = class_of[t.root]
 
-    def expand(c: int, h: int) -> tuple[Rule, tuple[int, ...]]:
-        """Rule and child classes of class ``c`` met at height ``h``."""
-        _, rule, children = shapes[c]
-        if rule is Rule.LEAF and h < bottom:
-            return Rule.R, (c,)
-        return rule, children
-
-    # The classes met on each level, top down, with their rule and child
-    # classes there.
-    levels = [{class_of[t.root]: expand(class_of[t.root], 0)}]
-    for h in range(bottom):
-        below = (k for _, children in levels[h].values() for k in children)
-        levels.append({k: expand(k, h + 1) for k in below})
-
+    # A level at a time, ids given breadth first as nodes are met. Under a
+    # formula's merge node, each (rule, child formulas) group of its classes
+    # gets a dispatch node, in rule and then child formula_key order.
+    # levels[h] maps each class met on level h to its child classes there,
+    # its merge id and its dispatch id (None for a leaf); merge maps the
+    # formulas met on the level at hand to their merge ids, in id order.
+    levels: list[dict[int, tuple[tuple[int, ...], int, int | None]]] = []
     nodes: list[Node] = []
-    rep: dict[tuple[int, int], int] = {}  # (height, class) -> merge-layer id
-    disp: dict[tuple[int, int], int] = {}  # (height, class) -> dispatch-layer id
-    for h in range(bottom, -1, -1):
-        layer: dict[Formula, dict[tuple, tuple[Rule, list[int]]]] = {}
-        for c, (rule, children) in levels[h].items():
+    merge, met, fresh = {shapes[root][0]: 1}, {root}, 2  # fresh: the next id to give out
+    for h in range(bottom + 1):
+        layer: dict[Formula, dict[tuple, list]] = {f: {} for f in merge}
+        for c in met:
+            formula, rule, children = shapes[c]
+            if rule is Rule.LEAF and h < bottom:
+                rule, children = Rule.R, (c,)
             # An I step's discharged antecedent is fixed by the formula.
-            key = (rule.value, tuple(rep[h + 1, k] for k in children))
-            layer.setdefault(shapes[c][0], {}).setdefault(key, (rule, []))[1].append(c)
-        for formula in sorted(layer, key=formula_key):
-            first = len(nodes) + 1
+            key = (rule, tuple(shapes[k][0] for k in children))
+            layer[formula].setdefault(key, []).append((c, children))
+        level: dict[int, tuple[tuple[int, ...], int, int | None]] = {}
+        dispatchers = []  # (id, formula, rule, child formulas)
+        for formula, first in merge.items():
             groups = layer[formula]
-            dispatchers = []
-            for i, key in enumerate(sorted(groups), first + 1):
-                rule, members = groups[key]
-                for c in members:
-                    rep[h, c], disp[h, c] = first, i
-                if rule is not Rule.LEAF:  # leaves, all on the bottom level, get no dispatcher
-                    dispatchers.append(Node(i, formula, rule, 2 * h + 1, key[1]))
-            rep_rule = Rule.S if len(dispatchers) > 1 else Rule.R if dispatchers else Rule.LEAF
-            nodes.append(Node(first, formula, rep_rule, 2 * h, tuple(n.id for n in dispatchers)))
-            nodes.extend(dispatchers)
-
-    out = build(nodes, rep[0, class_of[t.root]])
-    mapping = canonical_map(out)
-    out = renumber(out, mapping)
+            ids = []
+            for key in sorted(groups, key=lambda k: (k[0].value, [*map(formula_key, k[1])])):
+                i = None
+                if key[0] is not Rule.LEAF:  # leaves, all on the bottom level, get no dispatcher
+                    i, fresh = fresh, fresh + 1
+                    ids.append(i)
+                    dispatchers.append((i, formula, *key))
+                for c, children in groups[key]:
+                    level[c] = (children, first, i)
+            rule = Rule.S if len(ids) > 1 else Rule.R if ids else Rule.LEAF
+            nodes.append(Node(first, formula, rule, 2 * h, tuple(ids)))
+        below: dict[Formula, int] = {}
+        for i, formula, rule, formulas in dispatchers:
+            if rule is Rule.E and is_implication(*formulas, formula):  # build's premise order
+                formulas = formulas[::-1]
+            children = tuple(below.setdefault(f, fresh + len(below)) for f in formulas)
+            nodes.append(Node(i, formula, rule, 2 * h + 1, children))
+        fresh += len(below)
+        levels.append(level)
+        merge = below
+        met = {k for children, _, _ in level.values() for k in children}
+    out = build(nodes, 1)
 
     # Depth first in stored child order over (class, height) items, which
     # walks the padded tree as threads() lists it. A unary chain of items is
@@ -180,10 +182,10 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
     def chain(c: int, h: int) -> tuple[list[int], tuple[int, ...], int]:
         ids = []
         while True:
-            children = levels[h][c][1]
-            ids.append(mapping[rep[h, c]])
+            children, first, i = levels[h][c]
+            ids.append(first)
             if children:
-                ids.append(mapping[disp[h, c]])
+                ids.append(i)
             if len(children) != 1:
                 return ids, children, h
             c, h = children[0], h + 1
@@ -191,7 +193,7 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
     chains: dict[tuple[int, int], tuple[list[int], tuple[int, ...], int]] = {}
     images: dict[Thread, None] = {}
     path: list[int] = []
-    stack = [(class_of[t.root], 0)]
+    stack = [(root, 0)]
     while stack:
         item = stack.pop()
         got = chains.get(item)
@@ -205,7 +207,7 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
         else:
             images[tuple(path)] = None
     image = _Image(images)
-    image.dag, image.shapes, image.root = out, shapes, class_of[t.root]
+    image.dag = out
     return out, image
 
 

@@ -478,6 +478,13 @@ class TestBench:
         assert code == 3
         assert "--max" in err
 
+    @pytest.mark.parametrize("args", [["--family", "0"], ["--family", "2", "--max", "0"]])
+    def test_counts_below_one_are_malformed(self, args, capsys):
+        code, out, err = run(["bench", *args], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{args[-2]} must be at least 1" in err
+
     def test_prover_budget_exits_with_the_cap_code(self, capsys, monkeypatch):
         def over_budget(f):
             raise ResourceLimitError("nodes", 7)

@@ -3,13 +3,23 @@ the per-node body it replaced, which needed a leveled tree. Both ``compress(t)``
 and ``compress(level(t))`` must give the reference's dag and thread image for
 ``level(t)``, on the prover's corpus and family trees, on seeded trees closed
 by an introduction chain, and on unfolded dags with separation nodes, whole
-and with subtrees cut off. The sizes of the compressed family proofs are
-pinned to their closed forms."""
+and with subtrees cut off. Where the dag has no separation node, the image
+must be its ``threads``, in order. The sizes of the compressed family
+proofs are pinned to their closed forms."""
 
 import random
 
 from impdag.checker import check_local_correctness
-from impdag.deduction import Node, Rule, build, canonical_map, is_tree_like, renumber, to_dict
+from impdag.deduction import (
+    Node,
+    Rule,
+    build,
+    canonical_map,
+    is_tree_like,
+    renumber,
+    threads,
+    to_dict,
+)
 from impdag.formula import Formula, Implication, formula_key, parse_infix
 from impdag.gen import random_local_dag
 from impdag.prover import family, prove
@@ -153,6 +163,8 @@ def check(tree, seen):
     for got_dag, got_image in map(compress, (tree,) if leveled is tree else (tree, leveled)):
         assert to_dict(got_dag) == to_dict(want_dag)
         assert got_image == want_image
+        if not has_s(got_dag):
+            assert got_image == tuple(threads(got_dag))
     seen["unleveled"] += leveled is not tree
     seen["s_in"] += has_s(tree)
     seen["s_out"] += has_s(want_dag)

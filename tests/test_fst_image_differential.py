@@ -1,9 +1,9 @@
 """``check_fst`` and ``cleanse_via_fst`` on the image ``compress`` returns,
-decided per class when given with its own dag, against the same calls on
-``tuple(image)``, which are always worked thread by thread: on the
-acceptance corpus, family 1..7 and 40 generated separation dags, open and
-closed. An image given with an equal dag that is another object must take
-the thread-by-thread path and agree too."""
+decided by ``prov`` when given with its own separation-free dag, against
+the same calls on ``tuple(image)``, which are always worked thread by
+thread: on the acceptance corpus, family 1..7 and 40 generated separation
+dags, open and closed. An image given with an equal dag that is another
+object must take the thread-by-thread path and agree too."""
 
 from itertools import islice
 
@@ -86,8 +86,9 @@ def test_separation_dags_match_the_thread_walk(surveys):
         closed = check_fst(dag, ThreadSet(tuple(image))).all_closed
         separated = is_separated(dag)
         kinds.add((closed, separated))
-        # check_fst walks only an open image; cleansing also walks an S dag's.
-        assert compare(dag, image, surveys) == (not closed) + (not closed or separated)
+        # Only a closed image of a dag without S nodes is decided by prov;
+        # both calls walk every other.
+        assert compare(dag, image, surveys) == 2 * (not closed or separated)
         if closed and not separated:
             _, cleansed = cleanse_via_fst(dag, ThreadSet(image))
             assert to_dict(cleansed) == to_dict(dag)

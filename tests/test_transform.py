@@ -4,7 +4,7 @@ import pytest
 
 from impdag.assignment import ChoiceError, prov, search_choice
 from impdag.checker import check_local_correctness
-from impdag.deduction import Overflow, Rule, build, canonical, is_tree_like, to_dict
+from impdag.deduction import Deduction, Overflow, Rule, build, canonical, is_tree_like, to_dict
 from impdag.formula import parse_infix, weight
 from impdag.transform import compress, level, s_eliminate, unfold
 
@@ -182,6 +182,15 @@ class TestCompress:
         assert to_dict(dag) == to_dict(want_dag)
         assert image == want_image
         assert dag.height() == 4  # the short leaf a is repeated down to level 2
+
+    def test_major_premise_stored_first_gives_the_canonical_dag(self):
+        # A tree made without build may keep an E node's major premise first;
+        # the dag stores the minor first and is still numbered breadth first.
+        nodes = [mk(1, "b", "E", 0, (2, 3)), mk(2, "a -> b", "LEAF", 1), mk(3, "a", "LEAF", 1)]
+        dag, image = compress(Deduction({n.id: n for n in nodes}, 1))
+        want, _ = compress(build(nodes, 1))
+        assert to_dict(dag) == to_dict(canonical(dag)) == to_dict(want)
+        assert image == ((1, 2, 4), (1, 2, 3))
 
     def test_rejects_locally_incorrect(self):
         t = build([mk(1, "a", "R", 0, (2,)), mk(2, "b", "LEAF", 1)], 1)

@@ -161,7 +161,12 @@ def _committed_branch(choice: Choice, key: tuple[int, int], count: int) -> int:
 
 
 def prov(d: Deduction) -> bool:
-    """Deterministic provability for separation-free dags: empty root value."""
+    """Deterministic provability for separation-free dags: empty root value.
+    The verdict is kept on ``d``, so later calls on the same object are free."""
+    return d._memo("_proves", _proves)
+
+
+def _proves(d: Deduction) -> bool:
     _reject_separation(d)
     return not _Program(d).base[-1]
 

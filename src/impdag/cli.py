@@ -105,13 +105,6 @@ def _parse_formula(text: str) -> Formula:
         raise CliError(MALFORMED, f"bad formula: {exc}") from exc
 
 
-def _cap(given: int | None, fallback: int) -> int:
-    value = fallback if given is None else given
-    if value < 1:
-        raise CliError(MALFORMED, "cap must be at least 1")
-    return value
-
-
 def _print_violations(violations, stream) -> None:
     for v in violations:
         where = f" at node {v.node}" if v.node is not None else ""
@@ -147,7 +140,7 @@ def _cmd_prov(args) -> int:
         _note("separation nodes present; commit branches with 'search' or 'cleanse'")
         return NEGATIVE
     if args.method == "threads":
-        result = proves_by_threads(d, _cap(args.cap, DEFAULT_THREAD_CAP))
+        result = proves_by_threads(d, args.cap)
         if isinstance(result, Overflow):
             _note(f"more than {result.cap} threads; raise --cap")
             return LIMIT
@@ -221,7 +214,7 @@ def _cmd_compress(args) -> int:
 def _cmd_unfold(args) -> int:
     from .transform import unfold
     d = _load_dag(args.dag)
-    result = unfold(d, _cap(args.cap, DEFAULT_NODE_CAP))
+    result = unfold(d, args.cap)
     if isinstance(result, Overflow):
         _note(f"unfolding exceeds {result.cap} nodes; raise --cap")
         return LIMIT
@@ -331,9 +324,6 @@ def _cmd_bench(args) -> int:
     from .fst import CleansingError, FstError, ThreadSet, cleanse_via_fst
     from .prover import ResourceLimitError, family, prove
     from .transform import compress
-    for option in ("family", "max"):
-        if getattr(args, option) < 1:
-            raise CliError(MALFORMED, f"--{option} must be at least 1")
     cap = args.max
     print("n  weight  tree  leveled  dag  cleansed  prove_s  compress_s  cleanse_s")
     for n in range(1, args.family + 1):
@@ -398,7 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("dag", help="deduction file, or - for stdin")
     p.add_argument("--method", choices=("a", "reach", "threads"), default="a",
                    help="assignment (default), reachability, or thread enumeration")
-    p.add_argument("--cap", type=int, help="thread cap for --method threads")
+    p.add_argument("--cap", type=int, default=DEFAULT_THREAD_CAP,
+                   help=f"thread cap for --method threads (default {DEFAULT_THREAD_CAP})")
 
     p = add("search", _cmd_search, "Find branch commitments that make a deduction prove.")
     p.add_argument("dag", help="deduction file, or - for stdin")
@@ -421,7 +412,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("unfold", _cmd_unfold, "Expand a dag into an equivalent tree.")
     p.add_argument("dag", help="deduction file, or - for stdin")
-    p.add_argument("--cap", type=int, help=f"node cap (default {DEFAULT_NODE_CAP})")
+    p.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP,
+                   help=f"node cap (default {DEFAULT_NODE_CAP})")
     p.add_argument("--out", metavar="FILE", help="write the tree here instead of stdout")
 
     p = add("cleanse", _cmd_cleanse, "Remove separation nodes, keeping a proving deduction.")
@@ -454,9 +446,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Every integer option counts something, so each must be at least 1.
+_COUNTS = ("cap", "bound", "family", "max")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for option in _COUNTS:
+            if getattr(args, option, 1) < 1:
+                raise CliError(MALFORMED, f"--{option} must be at least 1")
         return args.handler(args)
     except CliError as exc:
         _note(str(exc))

@@ -186,12 +186,13 @@ class FormatError(ValueError):
 class Deduction(Record):
     """A node map and its root id; unhashable, as the map is a dict.
 
-    ``parents``, the ``check_local_correctness`` report and ``assignment``'s
-    node order are kept in private slots once computed, which equality,
-    ``repr``, copies and pickles ignore. The node map must not change once any is read.
+    ``parents``, the ``check_local_correctness`` report, ``assignment``'s
+    node order and the ``prov`` verdict are kept in private slots once
+    computed, which equality, ``repr``, copies and pickles ignore. The node
+    map must not change once any is read.
     """
 
-    __slots__ = ("nodes", "root", "_parents", "_report", "_descending")
+    __slots__ = ("nodes", "root", "_parents", "_report", "_descending", "_proves")
     nodes: dict[int, Node]
     root: int
 

@@ -24,8 +24,9 @@ A thread image that ``transform.compress`` returns for a dag without
 separation nodes, given with the very dag object it was built for, is
 decided by ``prov`` instead. It lists every thread of that dag, so it is
 dense and preserves eliminations, and ``prov`` holds exactly when each of
-those threads is closed. When ``prov`` fails, or the dag has separation
-nodes, the image is walked as any other collection is.
+those threads is closed; ``prov`` keeps its verdict on the dag, so both
+calls on one image decide it once. When ``prov`` fails, or the dag has
+separation nodes, the image is walked as any other collection is.
 """
 
 from __future__ import annotations

@@ -12,16 +12,19 @@ substitution first, and to the proof put in only for the substitutions
 enclosing its own. Every output is re-checked against the structural
 checker and the assignment semantics before being returned.
 
+A sequent's context is a set of hypotheses, as in LJT. Where a rule picks
+a hypothesis it takes them in ``formula_key`` order, so proofs do not
+depend on how sets of formulas iterate.
+
 ``oracle_valid`` decides the same validity question with a separate
-implementation: different context representation, different traversal
-order, no translation step.  In the purely implicational fragment
+implementation: different rules (it saturates the context under the chain
+rule before branching), a different traversal order and no translation
+step.  In the purely implicational fragment
 minimal and intuitionistic validity coincide, since no rule ever
 mentions falsum.
 """
 
 from __future__ import annotations
-
-from bisect import insort
 
 from .assignment import prov
 from .checker import check_local_correctness
@@ -61,7 +64,6 @@ class OracleBoundError(ValueError):
     whose search nests deeper than ``DEFAULT_MAX_DEPTH``."""
 
 
-Context = tuple[Formula, ...]
 # A proof tree: (formula, rule, children). Trees are shared, not copied,
 # between the parents that use them. (hypothesis, _SUB, (premise, proof))
 # is premise with proof put for each leaf carrying hypothesis.
@@ -69,34 +71,20 @@ Tree = tuple
 _SUB = object()
 
 
-def _insert(context: Context, f: Formula) -> Context:
-    if f in context:
-        return context
-    out = list(context)
-    insort(out, f, key=formula_key)
-    return tuple(out)
-
-
-def _remove(context: Context, f: Formula) -> Context:
-    out = list(context)
-    out.remove(f)
-    return tuple(out)
-
-
 def _leaf(f: Formula) -> Tree:
     return (f, Rule.LEAF, ())
 
 
-def _search(context: Context, goal: Formula):
+def _search(context: frozenset[Formula], goal: Formula):
     """Steps of the sequent's proof: yields each sub-sequent it needs as
     (context, goal) and receives that sub-sequent's proof or None, then
     returns the sequent's proof or None. ``_settle`` drives it."""
     if goal in context:
         return _leaf(goal)
     if isinstance(goal, Implication):
-        premise = yield _insert(context, goal.antecedent), goal.consequent
+        premise = yield context | {goal.antecedent}, goal.consequent
         return None if premise is None else (goal, Rule.I, (premise,))
-    chain = next(
+    chain = min(
         (
             h
             for h in context
@@ -104,24 +92,25 @@ def _search(context: Context, goal: Formula):
             and isinstance(h.antecedent, Atom)
             and h.antecedent in context
         ),
-        None,
+        key=formula_key,
+        default=None,
     )
     if chain is not None:
         b = chain.consequent
-        premise = yield _insert(_remove(context, chain), b), goal
+        premise = yield (context - {chain}) | {b}, goal
         if premise is None:
             return None
         return (b, _SUB, (premise, (b, Rule.E, (_leaf(chain.antecedent), _leaf(chain)))))
-    for h in context:
+    for h in sorted(context, key=formula_key):
         if not (isinstance(h, Implication) and isinstance(h.antecedent, Implication)):
             continue
         head, b = h.antecedent, h.consequent
-        rest = _remove(context, h)
+        rest = context - {h}
         flattened = Implication(head.consequent, b)
-        minor = yield _insert(rest, flattened), head
+        minor = yield rest | {flattened}, head
         if minor is None:
             continue
-        major = yield _insert(rest, b), goal
+        major = yield rest | {b}, goal
         if major is not None:
             # proof of D -> B from the principal (C -> D) -> B alone
             discharge = (
@@ -134,20 +123,20 @@ def _search(context: Context, goal: Formula):
     return None
 
 
-def _settle(f: Formula, max_nodes: int) -> Tree | None:
+def _settle(f: Formula) -> Tree | None:
     """Proof of ``f``, or None, driving ``_search`` on an explicit stack of
     the sequents in progress. ``memo`` holds each settled sequent's proof,
     whatever depth it was reached at, so every parent shares it."""
-    memo: dict[tuple[Context, Formula], Tree | None] = {}
+    memo: dict[tuple[frozenset[Formula], Formula], Tree | None] = {}
     stack: list = []
-    sequent = ((), f)
+    sequent = (frozenset(), f)
     while True:
         if len(stack) >= DEFAULT_MAX_DEPTH:
             raise ResourceLimitError("depth", DEFAULT_MAX_DEPTH)
         if sequent in memo:
             proof = memo[sequent]
-        elif len(memo) + len(stack) >= max_nodes:
-            raise ResourceLimitError("nodes", max_nodes)
+        elif len(memo) + len(stack) >= DEFAULT_MAX_NODES:
+            raise ResourceLimitError("nodes", DEFAULT_MAX_NODES)
         else:
             stack.append((sequent, _search(*sequent)))
             proof = None
@@ -184,22 +173,23 @@ def _expand(item: tuple[Tree, int, tuple | None]):
         return formula, rule, height, ((c, height + 1, env) for c in children)
 
 
-def prove(f: Formula, *, max_nodes: int = DEFAULT_MAX_NODES) -> Deduction | None:
+def prove(f: Formula) -> Deduction | None:
     """Search for a tree-like deduction of ``f``; None when invalid.
 
     The search runs on an explicit stack. ``ResourceLimitError`` is raised
-    past ``DEFAULT_MAX_DEPTH`` sequents in progress or ``max_nodes``
-    sequents searched or tree nodes laid out. The result is deterministic
-    for a given formula and budget, since each call searches with a memo
+    past ``DEFAULT_MAX_DEPTH`` sequents in progress, or past the one node
+    budget ``DEFAULT_MAX_NODES``, read at each call, on the sequents
+    searched and again on the tree nodes laid out. The result is
+    deterministic for a given formula, since each call searches with a memo
     of its own, and is certified before being returned: tree shape, local
     correctness, root formula, and the assignment criterion are re-checked.
     """
-    proof = _settle(f, max_nodes)
+    proof = _settle(f)
     if proof is None:
         return None
-    d = lay_out((proof, 0, None), _expand, max_nodes)
+    d = lay_out((proof, 0, None), _expand, DEFAULT_MAX_NODES)
     if isinstance(d, Overflow):
-        raise ResourceLimitError("nodes", max_nodes)
+        raise ResourceLimitError("nodes", DEFAULT_MAX_NODES)
     root = d.node(d.root)
     if not (
         is_tree_like(d)

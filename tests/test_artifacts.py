@@ -9,8 +9,9 @@ its rendered tuple table. The image digests cover the thread image that
 image was built by one walk over the tree instead of from ``threads()``.
 The family(6) digest, the same recipe, was taken while ``save_deduction``
 still wrote ``json.dumps(to_dict(d), indent=2)``. Formulas hash by
-identity, so the last test recomputes every digest in a fresh interpreter
-that first interned thousands of other formulas in a shuffled order.
+identity, so the last test recomputes every digest, and that of the proof
+of a deep implication chain, in a fresh interpreter that first interned
+thousands of other formulas in a shuffled order.
 """
 
 import hashlib
@@ -35,6 +36,7 @@ from impdag.transform import compress, level
 from conftest import random_separation_dag
 from test_acceptance import CORPUS
 from test_cli import CHILD_ENV
+from test_prover_differential import chain
 from test_search_differential import FIXTURES
 
 DIGESTS = {
@@ -164,6 +166,13 @@ def _survey_digest():
     return digest.hexdigest()
 
 
+def _chain_digest():
+    """Digest of the proof of a deep chain, whose sequents carry the
+    largest contexts, so sets of them iterate in the most orders."""
+    text = json.dumps(to_dict(prove(chain(120))))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 # Interns the formulas read from stdin in the order given, before anything
 # else builds one, then prints the digests and choices the test compares.
 PROBE = """
@@ -178,6 +187,7 @@ print(json.dumps([
     {name: a._image_digest(a._formula(name)) for name in a.DIGESTS},
     a._choices(),
     a._survey_digest(),
+    a._chain_digest(),
 ]))
 """
 
@@ -193,9 +203,10 @@ def test_outputs_do_not_depend_on_the_interning_order():
     done = subprocess.run([sys.executable, "-c", PROBE], input=json.dumps(texts),
                           capture_output=True, text=True, timeout=300, env=env)
     assert done.returncode == 0, done.stderr
-    digests, family_6, images, choices, survey = json.loads(done.stdout)
+    digests, family_6, images, choices, survey, chain_digest = json.loads(done.stdout)
     assert digests == DIGESTS
     assert family_6 == FAMILY_6_DIGEST
     assert images == IMAGE_DIGESTS
     assert choices == _choices()
     assert survey == _survey_digest()
+    assert chain_digest == _chain_digest()

@@ -145,11 +145,13 @@ class TestProv:
         assert code == 3
         assert "--cap" in err
 
-    def test_cap_below_one_is_malformed(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method", ["a", "reach", "threads"])
+    def test_cap_below_one_is_malformed(self, method, tmp_path, capsys):
         path = dag_file(tmp_path, diamond_dag())
-        code, _, err = run(["prov", path, "--method", "threads", "--cap", "0"], capsys)
+        code, out, err = run(["prov", path, "--method", method, "--cap", "0"], capsys)
         assert code == 2
-        assert "cap must be at least 1" in err
+        assert out == ""
+        assert "--cap must be at least 1" in err
 
     def test_environment_does_not_set_the_cap(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("IMPDAG_DEFAULT_CAP", "1")
@@ -234,6 +236,13 @@ class TestProveOracle:
         assert done.returncode == 3
         assert "exceeds bound" in done.stderr
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_oracle_bound_below_one_is_malformed(self, bound, capsys):
+        code, out, err = run(["oracle", "a -> a", "--bound", bound], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--bound must be at least 1" in err
 
     @pytest.mark.parametrize("n, code", [(300, 1), (1000, 3)])
     def test_oracle_deep_search_answers_or_hits_the_depth_bound(self, n, code):

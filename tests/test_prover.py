@@ -9,6 +9,7 @@ from impdag.assignment import prov
 from impdag.checker import check_local_correctness
 from impdag.deduction import Rule, is_tree_like, to_dict
 from impdag.formula import Atom, Implication, parse_infix, weight
+import impdag.prover as prover
 from impdag.prover import (
     DEFAULT_MAX_DEPTH,
     OracleBoundError,
@@ -84,17 +85,21 @@ class TestProve:
         assert first == second
         assert to_dict(first) == to_dict(second)
 
-    def test_node_budget(self):
+    def test_node_budget(self, monkeypatch):
+        monkeypatch.setattr(prover, "DEFAULT_MAX_NODES", 3)
         with pytest.raises(ResourceLimitError) as info:
-            prove(parse_infix(S_COMBINATOR), max_nodes=3)
+            prove(parse_infix(S_COMBINATOR))
         assert info.value.limit == "nodes"
 
     @pytest.mark.parametrize("text", ["a -> a", "a -> b -> a", S_COMBINATOR])
-    def test_node_budget_admits_a_proof_of_exactly_that_size(self, text):
+    def test_node_budget_admits_a_proof_of_exactly_that_size(self, text, monkeypatch):
         size = len(certified(text).nodes)
-        assert to_dict(prove(parse_infix(text), max_nodes=size)) == to_dict(certified(text))
+        want = to_dict(certified(text))
+        monkeypatch.setattr(prover, "DEFAULT_MAX_NODES", size)
+        assert to_dict(prove(parse_infix(text))) == want
+        monkeypatch.setattr(prover, "DEFAULT_MAX_NODES", size - 1)
         with pytest.raises(ResourceLimitError) as info:
-            prove(parse_infix(text), max_nodes=size - 1)
+            prove(parse_infix(text))
         assert info.value.limit == "nodes"
 
     def test_depth_budget(self):

@@ -13,6 +13,7 @@ import pytest
 from impdag.deduction import Overflow, Rule, lay_out, to_dict
 from impdag.formula import Atom, Formula, Implication, formula_key, parse_infix
 from impdag.gen import enumerate_formulas
+import impdag.prover as prover
 from impdag.prover import DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES, ResourceLimitError, family, prove
 
 from test_acceptance import CORPUS
@@ -224,11 +225,12 @@ def test_prove_matches_the_step_translation():
 
 
 @pytest.mark.parametrize("text", [S_COMBINATOR, "family(3)"])
-def test_node_budget_boundary_matches(text):
+def test_node_budget_boundary_matches(text, monkeypatch):
     f = family(3) if text == "family(3)" else parse_infix(text)
     _, searched = reference_search(f, DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES)
     least = max(searched, len(reference_prove(f).nodes))
     for max_nodes, fits in ((least - 1, False), (least, True)):
         want = outcome(reference_prove, f, max_nodes=max_nodes)
-        assert outcome(prove, f, max_nodes=max_nodes) == want
+        monkeypatch.setattr(prover, "DEFAULT_MAX_NODES", max_nodes)
+        assert outcome(prove, f) == want
         assert isinstance(want, dict) == fits

@@ -8,10 +8,13 @@ import pickle
 
 import pytest
 
-from impdag.assignment import SepValue, _by_descending_height, evaluate_symbolic, prov
+import impdag.assignment as assignment
+from impdag.assignment import SepValue, evaluate_symbolic, prov
 from impdag.deduction import Deduction, Node, Overflow, Rule
 from impdag.formula import parse_infix
-from impdag.fst import FstReport, ThreadSet
+from impdag.fst import FstReport, ThreadSet, check_fst, cleanse_via_fst
+from impdag.prover import family, prove
+from impdag.transform import compress
 
 from conftest import diamond_dag
 
@@ -97,24 +100,48 @@ def test_parents_are_computed_once_and_not_compared():
     }
 
 
-def test_node_order_is_sorted_once_and_not_compared(monkeypatch):
-    import impdag.assignment as assignment
-
-    sorts = []
-    monkeypatch.setattr(
-        assignment, "_by_descending_height", lambda d: sorts.append(d) or _by_descending_height(d)
-    )
-    d, fresh = diamond_dag(), diamond_dag()
+def _order_uses(d):
     evaluate_symbolic(d)
     assert not prov(d)  # the R branch leaves leaf a open
-    assert sorts == [d]
-    order = d._descending
-    assert [n.id for n in order] == [4, 2, 3, 1]
+    assert [n.id for n in d._descending] == [4, 2, 3, 1]
+
+
+def _family_3_image():
+    dag, image = compress(prove(family(3)))
+    return dag, (ThreadSet(image),)
+
+
+def _image_uses(d, threads):
+    # On the image's own dag both fst calls ask prov; on a copy they walk
+    # the threads, and only cleansing asks prov, of the copy it returns.
+    assert check_fst(d, threads).is_fst
+    assert cleanse_via_fst(d, threads) == ({}, d)
+    assert prov(d)
+
+
+# Per memo: what computes it in ``assignment``, its slot, a dag with the
+# arguments of the calls, and the calls that read it.
+MEMOS = {
+    "node order": ("_by_descending_height", "_descending", lambda: (diamond_dag(), ()), _order_uses),
+    "prov verdict": ("_Program", "_proves", _family_3_image, _image_uses),
+}
+
+
+@pytest.mark.parametrize("name", list(MEMOS))
+def test_memos_are_computed_once_per_object_and_not_compared(name, monkeypatch):
+    compute, slot, make, uses = MEMOS[name]
+    (d, args), (fresh, _) = make(), make()
+    calls = []
+    real = getattr(assignment, compute)
+    monkeypatch.setattr(assignment, compute, lambda d: calls.append(d) or real(d))
+    uses(d, *args)
+    assert calls == [d]
+    kept = getattr(d, slot)
     assert d == fresh and repr(d) == repr(fresh)
     for clone in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
         assert clone == d and repr(clone) == repr(d)
-        assert getattr(clone, "_descending", None) is None
-        evaluate_symbolic(clone)
-        assert sorts[-1] is clone
-    assert len(sorts) == 4
-    assert d._descending is order
+        assert getattr(clone, slot, None) is None
+        uses(clone, *args)
+        assert calls[-1] is clone
+    assert len(calls) == 4
+    assert getattr(d, slot) is kept

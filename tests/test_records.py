@@ -122,7 +122,8 @@ def _image_uses(d, threads):
 # Per memo: what computes it in ``assignment``, its slot, a dag with the
 # arguments of the calls, and the calls that read it.
 MEMOS = {
-    "node order": ("_by_descending_height", "_descending", lambda: (diamond_dag(), ()), _order_uses),
+    "node order": ("_by_descending_height", "_descending", lambda: (diamond_dag(), ()),
+                   _order_uses),
     "prov verdict": ("_Program", "_proves", _family_3_image, _image_uses),
 }
 

@@ -1,24 +1,25 @@
 """Formula-set assignment over deductions and the provability checks built
 on it.
 
-Every node x gets a term A(x): a leaf contributes the singleton of its own
-formula, a repetition passes its child's term through, an introduction of
-a -> b subtracts a from the child's term, an elimination unions its premise
-terms, and a separation combines its branch terms disjunctively. For
-separation-free deductions the terms evaluate to plain formula sets and
+Every node x gets a value A(x), a set of leaf formulas: a leaf contributes
+the singleton of its own formula, a repetition passes its child's value
+through, an introduction of a -> b subtracts a from its premise's value
+when the premise concludes b (and nothing otherwise), and an elimination
+unions its premise values. For separation-free deductions
 
     the deduction proves its root formula  iff  A(root) = ∅.
 
-A deduction with separation nodes instead needs a branch commitment. The
-commitment is per edge: each parent arriving at a separation node picks
-one branch, so a shared separation node may serve different branches to
-different parents (the tree-unfolded picture resolves each occurrence on
-its own). ``search_choice`` looks for a commitment making the root value
-empty by depth-first backtracking over the edges (Davis, Logemann and
-Loveland, 1962), their parents in the breadth-first numbering that
-``canonical`` gives. It abandons a partial commitment as soon as the root
-value is non-empty with every undecided edge read as ∅: deciding an edge
-only adds paths to leaves, so that value is contained in the value of
+A separation node reads its premises disjunctively, so it has no value of
+its own: values are taken per branch commitment. The commitment is per
+edge: each parent arriving at a separation node picks one branch and reads
+that branch's value, so a shared separation node may serve different
+branches to different parents (the tree-unfolded picture resolves each
+occurrence on its own). ``search_choice`` looks for a commitment making
+the root value empty by depth-first backtracking over the edges (Davis,
+Logemann and Loveland, 1962), their parents in the breadth-first numbering
+that ``canonical`` gives. It abandons a partial commitment as soon as the
+root value is non-empty with every undecided edge read as ∅: deciding an
+edge only adds paths to leaves, so that value is contained in the value of
 every completion, and no certificate is cut off. The search stays
 exponential in the number of separation edges in the worst case; deciding
 whether a certificate exists is PSPACE-hard in general (Statman, 1979).
@@ -39,25 +40,20 @@ from __future__ import annotations
 
 from collections import deque
 from operator import attrgetter
-from typing import IO, Union as TypingUnion
+from typing import IO
 
-from .deduction import Deduction, FormatError, Node, Record, Rule, canonical_map
+from .deduction import Deduction, FormatError, Node, Rule, canonical_map
 from .deduction import read_json, write_json
 from .formula import Formula, Implication, formula_key, is_implication
 
 __all__ = [
-    "SepValue",
-    "Value",
     "Choice",
     "ChoiceError",
     "SeparationPresentError",
-    "evaluate_symbolic",
     "evaluate",
     "prov",
     "prov1",
     "search_choice",
-    "union_values",
-    "minus_value",
     "load_choice",
     "save_choice",
 ]
@@ -75,59 +71,7 @@ class ChoiceError(ValueError):
 Choice = dict[tuple[int, int], int]
 
 
-SetValue = frozenset  # of Formula
-
-
-class SepValue(Record):
-    """A separation combination whose branches are themselves values."""
-
-    __slots__ = ("node", "branches")
-    node: int
-    branches: tuple["Value", ...]
-
-
-Value = TypingUnion[SetValue, SepValue]
-
-
-def union_values(v: Value, w: Value) -> Value:
-    """Set union, distributed through separation combinations; when both
-    sides are combinations the left one is pushed outward first."""
-    if isinstance(v, SepValue):
-        return SepValue(v.node, tuple(union_values(b, w) for b in v.branches))
-    if isinstance(w, SepValue):
-        return SepValue(w.node, tuple(union_values(v, b) for b in w.branches))
-    return v | w
-
-
-def minus_value(v: Value, removed: Formula) -> Value:
-    if isinstance(v, SepValue):
-        return SepValue(v.node, tuple(minus_value(b, removed) for b in v.branches))
-    return v - {removed}
-
-
-def evaluate_symbolic(d: Deduction) -> dict[int, Value]:
-    """Value of every node with separation combinations kept symbolic.
-
-    Unions and subtractions distribute through the combinations, so each
-    value is either a plain formula set or a combination of such values.
-    """
-    vals: dict[int, Value] = {}
-    for n in d._memo("_descending", _by_descending_height):
-        if n.rule is Rule.LEAF:
-            vals[n.id] = frozenset((n.formula,))
-        elif n.rule is Rule.R:
-            vals[n.id] = vals[n.children[0]]
-        elif n.rule is Rule.I:
-            vals[n.id] = minus_value(vals[n.children[0]], _discharged(n))
-        elif n.rule is Rule.E:
-            minor, major = _premises(d, n)
-            vals[n.id] = union_values(vals[minor], vals[major])
-        else:
-            vals[n.id] = SepValue(n.id, tuple(vals[c] for c in n.children))
-    return vals
-
-
-def evaluate(d: Deduction, choice: Choice) -> dict[int, SetValue]:
+def evaluate(d: Deduction, choice: Choice) -> dict[int, frozenset[Formula]]:
     """Concrete per-node formula sets under a branch commitment.
 
     Separation nodes carry no value of their own; each parent reads the
@@ -140,7 +84,7 @@ def evaluate(d: Deduction, choice: Choice) -> dict[int, SetValue]:
         branches[_committed_branch(choice, key, len(branches)) - 1]
         for key, branches in zip(program.edges, program.branches)
     ]
-    sets: dict[int, SetValue] = {}
+    sets: dict[int, frozenset[Formula]] = {}
     vals = {}
     for x, bits in zip(program.ids, program.run(picks)[1:]):
         if bits not in sets:
@@ -299,7 +243,9 @@ class _Program:
             value = drop = 0
             changes = False
             reads, edge_reads = [], []
-            for c in _premises(d, n) if rule is Rule.E else n.children:
+            if rule is Rule.E:
+                _check_premises(nodes, n)
+            for c in n.children:
                 child = nodes[c]
                 if child.rule is not Rule.S:
                     r = slot[c]
@@ -316,8 +262,8 @@ class _Program:
                 changes = True
             if rule is Rule.I:
                 # Leaves below come first, so an antecedent without a bit yet
-                # is no leaf formula of the child's value.
-                drop = bits.get(_discharged(n), 0)
+                # is no leaf formula of the child's value; None has no bit.
+                drop = bits.get(_discharged(nodes, n), 0)
             vals.append(value & ~drop)
             varies.append(changes)
             if changes:
@@ -342,20 +288,22 @@ def _by_descending_height(d: Deduction) -> tuple[Node, ...]:
     return tuple(order)
 
 
-def _discharged(n: Node) -> Formula:
-    if not isinstance(n.formula, Implication):
+def _discharged(nodes: dict[int, Node], n: Node) -> Formula | None:
+    """The antecedent an introduction discharges: none unless its
+    conclusion's consequent is its premise's formula."""
+    f = n.formula
+    if not isinstance(f, Implication):
         raise ValueError(f"introduction node {n.id} concludes a non-implication")
-    return n.formula.antecedent
+    return f.antecedent if f.consequent is nodes[n.children[0]].formula else None
 
 
-def _premises(d: Deduction, n: Node) -> tuple[int, int]:
-    """Premise ids of an elimination as (minor, major)."""
+def _check_premises(nodes: dict[int, Node], n: Node) -> None:
+    """An elimination needs a major premise, stored first or second; the
+    union of the premise values does not depend on which."""
     y, z = n.children
-    if is_implication(d.node(z).formula, d.node(y).formula, n.formula):
-        return y, z
-    if is_implication(d.node(y).formula, d.node(z).formula, n.formula):
-        return z, y
-    raise ValueError(f"elimination node {n.id} has no major premise")
+    y, z = nodes[y].formula, nodes[z].formula
+    if not (is_implication(z, y, n.formula) or is_implication(y, z, n.formula)):
+        raise ValueError(f"elimination node {n.id} has no major premise")
 
 
 def _reject_separation(d: Deduction) -> None:

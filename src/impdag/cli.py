@@ -321,11 +321,10 @@ def _cmd_fst_check(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .fst import CleansingError, FstError, ThreadSet, cleanse_via_fst
     from .prover import ResourceLimitError, family, prove
     from .transform import compress
     cap = args.max
-    print("n  weight  tree  leveled  dag  cleansed  prove_s  compress_s  cleanse_s")
+    print("n  weight  tree  leveled  dag  prove_s  compress_s")
     for n in range(1, args.family + 1):
         f = family(n)
         t0 = time.perf_counter()
@@ -343,17 +342,11 @@ def _cmd_bench(args) -> int:
             _note(f"family {n}: leveled tree has {leveled} nodes, over --max {cap}")
             return LIMIT
         t2 = time.perf_counter()
-        dag, image = compress(d)
+        dag, _ = compress(d)
         t3 = time.perf_counter()
-        try:
-            _, cleansed = cleanse_via_fst(dag, ThreadSet(image))
-        except (FstError, CleansingError) as exc:
-            _note(f"family {n}: cleansing failed: {exc}")
-            return NEGATIVE
-        t4 = time.perf_counter()
         print(
             f"{n}  {weight(f)}  {len(d.nodes)}  {leveled}  {len(dag.nodes)}"
-            f"  {len(cleansed.nodes)}  {t1 - t0:.3f}  {t3 - t2:.3f}  {t4 - t3:.3f}"
+            f"  {t1 - t0:.3f}  {t3 - t2:.3f}"
         )
     return OK
 
@@ -437,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("dag", help="deduction file, or - for stdin")
     p.add_argument("threads", help="thread collection file, or - for stdin")
 
-    p = add("bench", _cmd_bench, "Time the prove/compress/cleanse pipeline on a formula family.")
+    p = add("bench", _cmd_bench, "Time proving and compression on a formula family.")
     p.add_argument("--family", type=int, required=True, metavar="N",
                    help="run family members 1 through N")
     p.add_argument("--max", type=int, default=DEFAULT_NODE_CAP, metavar="M",

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from impdag.assignment import SepValue, evaluate, evaluate_symbolic, prov, prov1, search_choice
+from impdag.assignment import evaluate, prov, prov1, search_choice
 from impdag.checker import check_local_correctness, check_tuples, decode, encode
 from impdag.deduction import Overflow, Rule, proves_by_threads, threads
 from impdag.formula import parse_infix, to_infix
@@ -57,10 +57,12 @@ def test_criterion_1_branching_assignment_goldens():
     ok = False
     try:
         stuck = sep_stuck_dag()
-        vals = evaluate_symbolic(stuck)
-        # S node carries *({b}, {g, g -> a -> b}), the root *({b}, {g -> a -> b})
-        assert vals[2] == SepValue(2, (fs("b"), fs("g", "g -> a -> b")))
-        assert vals[1] == SepValue(2, (fs("b"), fs("g -> a -> b")))
+        # S node 2 offers branches {b} and {g, g -> a -> b}; the root reads
+        # {b} under branch 1 and {g -> a -> b} under branch 2
+        for k, root in ((1, fs("b")), (2, fs("g -> a -> b"))):
+            vals = evaluate(stuck, {(1, 2): k})
+            assert (vals[3], vals[4]) == (fs("b"), fs("g", "g -> a -> b"))
+            assert vals[1] == root
         assert search_choice(stuck) is None
 
         proof = sep_proof_dag()

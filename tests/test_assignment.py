@@ -1,25 +1,24 @@
-"""Assignment terms, symbolic and concrete evaluation, provability checks."""
+"""Assignment values per branch commitment, provability checks."""
 
 import io
+import itertools
 
 import pytest
 
 from impdag.assignment import (
     ChoiceError,
-    SepValue,
     SeparationPresentError,
     evaluate,
-    evaluate_symbolic,
     load_choice,
-    minus_value,
     prov,
     prov1,
     save_choice,
     search_choice,
-    union_values,
 )
-from impdag.deduction import FormatError, Rule, build, proves_by_threads
+from impdag.checker import check_local_correctness
+from impdag.deduction import Deduction, FormatError, Node, Rule, build, proves_by_threads
 from impdag.formula import parse_infix
+from impdag.prover import family, prove
 
 from conftest import (
     diamond_dag,
@@ -41,6 +40,12 @@ def identity_proof():
 
 def leaf_under_repetition():
     return build([mk(1, "a", "R", 0, (2,)), mk(2, "a", "LEAF", 1)], 1)
+
+
+def introduction_onto_other_formula():
+    # Fails condition 2b only: a -> g is concluded from a premise of a, so
+    # node 1 discharges nothing.
+    return build([mk(1, "a -> g", "I", 0, (2,)), mk(2, "a", "LEAF", 1)], 1)
 
 
 def two_edge_dag():
@@ -106,41 +111,24 @@ def malformed_under_separation(rule):
     )
 
 
-class TestSymbolicEvaluation:
+class TestBranchValues:
+    """The separation goldens, read one commitment at a time: a separation
+    node's branches are the values its parent can read."""
+
     def test_stuck_dag_golden_values(self):
-        vals = evaluate_symbolic(sep_stuck_dag())
-        assert vals[5] == fs("b")
-        assert vals[4] == fs("g", "g -> a -> b")
-        assert vals[2] == SepValue(2, (fs("b"), fs("g", "g -> a -> b")))
-        assert vals[1] == SepValue(2, (fs("b"), fs("g -> a -> b")))
+        d = sep_stuck_dag()
+        for k, root in ((1, fs("b")), (2, fs("g -> a -> b"))):
+            vals = evaluate(d, {(1, 2): k})
+            assert vals[5] == fs("b")
+            assert (vals[3], vals[4]) == (fs("b"), fs("g", "g -> a -> b"))
+            assert vals[1] == root
 
-    def test_proof_dag_root_value(self):
-        vals = evaluate_symbolic(sep_proof_dag())
-        assert vals[3] == SepValue(3, (fs("b"), fs("g", "g -> a -> b")))
-        assert vals[1] == SepValue(3, (frozenset(), fs("g -> a -> b")))
-
-    def test_separation_free_matches_concrete(self):
-        for d in (identity_proof(), diamond_dag(), merge_pair_tree()):
-            symbolic = evaluate_symbolic(d)
-            concrete = evaluate(d, {})
-            assert symbolic == concrete
-
-    def test_union_distributes_left_first(self):
-        left = SepValue(1, (fs("a"), fs("b")))
-        right = SepValue(2, (fs("g"), fs("d")))
-        assert union_values(left, right) == SepValue(
-            1,
-            (
-                SepValue(2, (fs("a", "g"), fs("a", "d"))),
-                SepValue(2, (fs("b", "g"), fs("b", "d"))),
-            ),
-        )
-
-    def test_minus_distributes(self):
-        v = SepValue(1, (fs("a", "b"), fs("b")))
-        assert minus_value(v, parse_infix("b")) == SepValue(
-            1, (fs("a"), frozenset())
-        )
+    def test_proof_dag_golden_values(self):
+        d = sep_proof_dag()
+        for k, root in ((1, frozenset()), (2, fs("g -> a -> b"))):
+            vals = evaluate(d, {(2, 3): k})
+            assert (vals[4], vals[5]) == (fs("b"), fs("g", "g -> a -> b"))
+            assert vals[1] == root
 
 
 class TestEvaluate:
@@ -214,10 +202,21 @@ class TestProv1:
             leaf_under_repetition(),
             diamond_dag(),
             merge_pair_tree(),
+            introduction_onto_other_formula(),
         ):
             by_threads = proves_by_threads(d)
             assert isinstance(by_threads, bool)
             assert prov(d) == prov1(d) == by_threads
+
+
+class TestIntroductionOntoOtherFormula:
+    def test_no_decider_proves(self):
+        d = introduction_onto_other_formula()
+        report = check_local_correctness(d)
+        assert [(v.condition, v.node) for v in report.violations] == [("2b", 1)]
+        assert prov(d) is prov1(d) is proves_by_threads(d) is False
+        assert search_choice(d) is None
+        assert evaluate(d, {})[1] == fs("a")
 
 
 class TestSearchChoice:
@@ -265,6 +264,50 @@ class TestSearchChoice:
             search_choice(d)
         with pytest.raises(ValueError, match=f"^{text}$"):
             evaluate(d, {(1, 2): 1})
+
+
+def major_premise_first(d):
+    """``d`` with every elimination's children stored major premise first,
+    an order ``build`` would normalize away."""
+    nodes = {
+        i: Node(n.id, n.formula, n.rule, n.height, n.children[::-1]) if n.rule is Rule.E else n
+        for i, n in d.nodes.items()
+    }
+    return Deduction(nodes, d.root)
+
+
+def commitments(d):
+    """Every commitment of ``d``'s edges into separation nodes."""
+    edges = [(p.id, c) for p in d.nodes.values() for c in p.children
+             if d.node(c).rule is Rule.S]
+    counts = [range(1, len(d.node(s).children) + 1) for _, s in edges]
+    return [dict(zip(edges, picks)) for picks in itertools.product(*counts)]
+
+
+class TestMajorPremiseFirst:
+    """Elimination premises are read in stored order; the values and
+    verdicts must not depend on which premise is stored first."""
+
+    @pytest.mark.parametrize(
+        "make", [diamond_dag, merge_pair_tree, lambda: prove(family(2))],
+        ids=["diamond", "merge_pair", "family_2"],
+    )
+    def test_separation_free(self, make):
+        d = make()
+        twin = major_premise_first(d)
+        assert twin != d and check_local_correctness(twin).ok
+        assert prov(twin) == prov(d) and prov1(twin) == prov1(d)
+        assert search_choice(twin) == search_choice(d)
+        assert evaluate(twin, {}) == evaluate(d, {})
+
+    @pytest.mark.parametrize("make", [sep_stuck_dag, sep_proof_dag, sep_all_closed_dag])
+    def test_with_separation(self, make):
+        d = make()
+        twin = major_premise_first(d)
+        assert twin != d and check_local_correctness(twin).ok
+        assert search_choice(twin) == search_choice(d)
+        for choice in commitments(d):
+            assert evaluate(twin, choice) == evaluate(d, choice)
 
 
 class TestTreeAgreement:

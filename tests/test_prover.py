@@ -102,6 +102,19 @@ class TestProve:
             prove(parse_infix(text))
         assert info.value.limit == "nodes"
 
+    def test_memo_starts_each_sequent_once(self, monkeypatch):
+        # Not valid: the cyclic clauses send the search back to sequents it
+        # settled already. With the memo it starts 3 067 of them; searching
+        # each revisit again would start 40 076.
+        clauses = [f"((x{i} -> x{(i + 1) % 7}) -> g)" for i in range(7)]
+        f = parse_infix(" -> ".join(clauses) + " -> g")
+        assert weight(f) == 43
+        started = []
+        search = prover._search
+        monkeypatch.setattr(prover, "_search", lambda *seq: started.append(seq) or search(*seq))
+        assert prove(f) is None
+        assert len(set(started)) == len(started) < 4000
+
     def test_depth_budget(self):
         # chain(k) nests its search 2k + 2 sequents deep
         assert prove(chain(199)) is not None

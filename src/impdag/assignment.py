@@ -34,6 +34,10 @@ only the nodes above a separation edge are evaluated again.
 crosses an introduction edge discharging its formula, so pruning those
 edges and testing reachability decides the same property without building
 any formula sets.
+
+Values and provability are defined on locally correct deductions only:
+every public function here first reads the memoised report of
+``check_local_correctness`` and raises ``LocalCorrectnessError`` on it.
 """
 
 from __future__ import annotations
@@ -42,9 +46,10 @@ from collections import deque
 from operator import attrgetter
 from typing import IO
 
+from .checker import _require_local_correctness
 from .deduction import Deduction, FormatError, Node, Rule, canonical_map
 from .deduction import read_json, write_json
-from .formula import Formula, Implication, formula_key, is_implication
+from .formula import Formula, formula_key
 
 __all__ = [
     "Choice",
@@ -79,6 +84,7 @@ def evaluate(d: Deduction, choice: Choice) -> dict[int, frozenset[Formula]]:
     non-separation node to a set. The commitment must cover every edge
     into a separation node; entries for other keys are ignored.
     """
+    _require_local_correctness(d)
     program = _Program(d)
     picks = [
         branches[_committed_branch(choice, key, len(branches)) - 1]
@@ -107,6 +113,7 @@ def _committed_branch(choice: Choice, key: tuple[int, int], count: int) -> int:
 def prov(d: Deduction) -> bool:
     """Deterministic provability for separation-free dags: empty root value.
     The verdict is kept on ``d``, so later calls on the same object are free."""
+    _require_local_correctness(d)
     return d._memo("_proves", _proves)
 
 
@@ -124,6 +131,7 @@ def prov1(d: Deduction) -> bool:
     sharing a formula share one pruned subgraph, so the work is one
     traversal per distinct leaf formula.
     """
+    _require_local_correctness(d)
     _reject_separation(d)
     leaf_formulas = {n.formula for n in d.nodes.values() if n.rule is Rule.LEAF}
     for phi in sorted(leaf_formulas, key=formula_key):
@@ -141,7 +149,7 @@ def _reach_without_discharge(d: Deduction, phi: Formula) -> set[int]:
     while queue:
         n = d.node(queue.popleft())
         for c in n.children:
-            if n.rule is Rule.I and is_implication(n.formula, phi, d.node(c).formula):
+            if n.rule is Rule.I and n.formula.antecedent is phi:
                 continue
             if c not in seen:
                 seen.add(c)
@@ -161,9 +169,10 @@ def search_choice(d: Deduction) -> Choice | None:
     completion, so the answer is the one trying every commitment in order
     would give. A dag rooted at a separation node has no edge selecting
     its branches and never evaluates to a set, so the answer there is
-    always none. Malformed nodes raise ValueError before any commitment is
-    tried, whatever the commitments would be.
+    always none. A locally incorrect ``d`` raises LocalCorrectnessError
+    before any commitment is tried, whatever the commitments would be.
     """
+    _require_local_correctness(d)
     if d.node(d.root).rule is Rule.S:
         return None
     program = _Program(d)
@@ -214,7 +223,7 @@ class _Program:
     __slots__ = ("ids", "base", "formulas", "edges", "branches", "steps")
 
     def __init__(self, d: Deduction) -> None:
-        """Compile ``d``; malformed nodes raise ValueError, in evaluation order."""
+        """Compile ``d``, which the caller has found locally correct."""
         nodes = d.nodes
         slot: dict[int, int] = {}
         bits: dict[Formula, int] = {}
@@ -243,8 +252,6 @@ class _Program:
             value = drop = 0
             changes = False
             reads, edge_reads = [], []
-            if rule is Rule.E:
-                _check_premises(nodes, n)
             for c in n.children:
                 child = nodes[c]
                 if child.rule is not Rule.S:
@@ -253,17 +260,14 @@ class _Program:
                     value |= vals[r]
                     changes = changes or varies[r]
                     continue
-                for b in child.children:
-                    if nodes[b].rule is Rule.S:
-                        raise ValueError(f"separation node {b} directly under {c}")
                 edge_reads.append(len(edges))
                 edges.append((n.id, c))
                 self.branches.append(tuple(slot[b] for b in child.children))
                 changes = True
             if rule is Rule.I:
                 # Leaves below come first, so an antecedent without a bit yet
-                # is no leaf formula of the child's value; None has no bit.
-                drop = bits.get(_discharged(nodes, n), 0)
+                # is no leaf formula of the child's value.
+                drop = bits.get(n.formula.antecedent, 0)
             vals.append(value & ~drop)
             varies.append(changes)
             if changes:
@@ -286,24 +290,6 @@ def _by_descending_height(d: Deduction) -> tuple[Node, ...]:
     order = sorted(d.nodes.values(), key=attrgetter("id"))
     order.sort(key=attrgetter("height"), reverse=True)  # stable: ids stay ascending
     return tuple(order)
-
-
-def _discharged(nodes: dict[int, Node], n: Node) -> Formula | None:
-    """The antecedent an introduction discharges: none unless its
-    conclusion's consequent is its premise's formula."""
-    f = n.formula
-    if not isinstance(f, Implication):
-        raise ValueError(f"introduction node {n.id} concludes a non-implication")
-    return f.antecedent if f.consequent is nodes[n.children[0]].formula else None
-
-
-def _check_premises(nodes: dict[int, Node], n: Node) -> None:
-    """An elimination needs a major premise, stored first or second; the
-    union of the premise values does not depend on which."""
-    y, z = n.children
-    y, z = nodes[y].formula, nodes[z].formula
-    if not (is_implication(z, y, n.formula) or is_implication(y, z, n.formula)):
-        raise ValueError(f"elimination node {n.id} has no major premise")
 
 
 def _reject_separation(d: Deduction) -> None:

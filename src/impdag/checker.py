@@ -64,6 +64,7 @@ __all__ = [
     "TupleRow",
     "TupleEncoding",
     "EncodingError",
+    "LocalCorrectnessError",
     "DecodeError",
     "TupleFormatError",
     "check_local_correctness",
@@ -95,6 +96,15 @@ class EncodingError(ValueError):
         self.report = report
 
 
+class LocalCorrectnessError(ValueError):
+    """A decider was given a deduction that is not locally correct; the text
+    names the first violation, ``report`` holds them all."""
+
+    def __init__(self, report: LCReport) -> None:
+        super().__init__("not locally correct: condition %s at node %s: %s" % report.violations[0])
+        self.report = report
+
+
 class DecodeError(ValueError):
     """The tuple rows do not describe a deduction."""
 
@@ -107,6 +117,13 @@ def check_local_correctness(d: Deduction) -> LCReport:
     """Report-valued check of every node-local clause; never raises.
     Computed once per deduction."""
     return d._memo("_report", _local_report)
+
+
+def _require_local_correctness(d: Deduction) -> None:
+    """Raise LocalCorrectnessError unless ``d`` is locally correct; every decider calls it first."""
+    report = check_local_correctness(d)
+    if not report.ok:
+        raise LocalCorrectnessError(report)
 
 
 def _local_report(d: Deduction) -> LCReport:

@@ -75,13 +75,12 @@ def _load_dag(path: str) -> Deduction:
 def _load_correct_dag(path: str) -> Deduction:
     """A deduction for the deciders, which assume local correctness; any
     violation is malformed input, reported by its first condition."""
-    from .checker import check_local_correctness
+    from .checker import LocalCorrectnessError, _require_local_correctness
     d = _load_dag(path)
-    violations = check_local_correctness(d).violations
-    if violations:
-        v = violations[0]
-        where = f"condition {v.condition} at node {v.node}"
-        raise CliError(MALFORMED, f"not locally correct: {where}: {v.message}")
+    try:
+        _require_local_correctness(d)
+    except LocalCorrectnessError as exc:
+        raise CliError(MALFORMED, str(exc)) from exc
     return d
 
 

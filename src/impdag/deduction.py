@@ -317,18 +317,19 @@ def threads(d: Deduction, cap: int = DEFAULT_THREAD_CAP) -> list[Thread] | Overf
 
 
 def is_closed(d: Deduction, thread: Thread) -> bool:
-    """True when some I node on the thread discharges the leaf formula."""
+    """True when some I node on the thread discharges the leaf formula; ``d`` is locally correct."""
     leaf_formula = d.node(thread[-1]).formula
     for node_id in thread[:-1]:
         n = d.node(node_id)
-        if n.rule is Rule.I:
-            child = d.node(n.children[0])
-            if is_implication(n.formula, leaf_formula, child.formula):
-                return True
+        if n.rule is Rule.I and n.formula.antecedent is leaf_formula:
+            return True
     return False
 
 
 def proves_by_threads(d: Deduction, cap: int = DEFAULT_THREAD_CAP) -> bool | Overflow:
+    """Whether every thread is closed; LocalCorrectnessError unless ``d`` is locally correct."""
+    from .checker import _require_local_correctness
+    _require_local_correctness(d)
     ts = threads(d, cap)
     if isinstance(ts, Overflow):
         return ts

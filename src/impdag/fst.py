@@ -27,6 +27,9 @@ dense and preserves eliminations, and ``prov`` holds exactly when each of
 those threads is closed; ``prov`` keeps its verdict on the dag, so both
 calls on one image decide it once. When ``prov`` fails, or the dag has
 separation nodes, the image is walked as any other collection is.
+
+Both entry points first read the dag's memoised local-correctness report
+and raise ``LocalCorrectnessError`` on a violation.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from itertools import islice
 from typing import IO, Iterator
 
 from .assignment import Choice, prov
+from .checker import _require_local_correctness
 from .deduction import Deduction, FormatError, Record, Rule, Thread, read_json, write_json
-from .formula import Implication
 from .transform import s_eliminate
 
 __all__ = [
@@ -114,11 +117,7 @@ def _survey(
     # formula is among the antecedents discharged along it.
     edges: dict[int, dict[int, tuple]] = {i: {} for i in nodes}
     for n in nodes.values():
-        discharged = None
-        if n.rule is Rule.I and n.children:
-            f = n.formula
-            if isinstance(f, Implication) and f.consequent is nodes[n.children[0]].formula:
-                discharged = f.antecedent
+        discharged = n.formula.antecedent if n.rule is Rule.I else None
         out = edges[n.id]
         for c in n.children:
             other = other_at = None
@@ -212,6 +211,7 @@ def check_fst(d: Deduction, collection: ThreadSet) -> FstReport:
     the three conditions themselves are report-valued, never raised. The
     ``compress`` image of an S-free ``d`` itself is not walked when ``prov(d)``.
     """
+    _require_local_correctness(d)
     if _proven_image(d, collection):
         return FstReport(True, True, True, ())
     return _survey(d, collection)[0]
@@ -231,6 +231,7 @@ def cleanse_via_fst(d: Deduction, collection: ThreadSet) -> tuple[Choice, Deduct
     FstError when the set fails a fundamental-set condition and
     CleansingError when no pairing thread agrees with the commitments.
     """
+    _require_local_correctness(d)
     if _proven_image(d, collection):
         return {}, d
     report, step, paths, elims = _survey(d, collection)

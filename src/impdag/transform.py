@@ -23,7 +23,7 @@ thread-set input the cleansing machinery expects.
 
 from __future__ import annotations
 
-from .checker import check_local_correctness
+from .checker import _require_local_correctness
 from .deduction import (
     DEFAULT_NODE_CAP,
     Deduction,
@@ -106,17 +106,12 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
     The image also keeps the returned dag object, so ``fst`` decides
     ``ThreadSet(image)`` with that very dag by ``prov`` when it has no
     separation node; any other collection, ``tuple(image)`` included, is
-    checked thread by thread.
+    checked thread by thread. Raises ValueError unless ``t`` is tree-like,
+    then LocalCorrectnessError unless it is locally correct.
     """
     if not is_tree_like(t):
         raise ValueError("compress() expects a tree-like deduction; 'unfold' produces one")
-    report = check_local_correctness(t)
-    if not report.ok:
-        first = report.violations[0]
-        raise ValueError(
-            f"compress() expects local correctness: condition {first.condition}"
-            f" at node {first.node}"
-        )
+    _require_local_correctness(t)
 
     # Hash-cons the tree bottom up: class id -> (formula, rule, child classes).
     class_of: dict[int, int] = {}

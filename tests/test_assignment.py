@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import re
 
 import pytest
 
@@ -15,7 +16,7 @@ from impdag.assignment import (
     save_choice,
     search_choice,
 )
-from impdag.checker import check_local_correctness
+from impdag.checker import LocalCorrectnessError, check_local_correctness
 from impdag.deduction import Deduction, FormatError, Node, Rule, build, proves_by_threads
 from impdag.formula import parse_infix
 from impdag.prover import family, prove
@@ -49,17 +50,20 @@ def introduction_onto_other_formula():
 
 
 def two_edge_dag():
-    # Exercises search order only: the repetition formulas are deliberately
-    # off so the two branch leaves carry different formulas.
+    # Both premises of node 2 read separation node 5 over their own edge.
+    # Branch 1 leaves b -> a open, branch 2 leaves a, which only the root
+    # discharges; nodes 3 and 4 discharge neither, so only committing both
+    # edges to branch 2 proves, and the search backtracks to the last pair.
     return build(
         [
-            mk(1, "b -> g", "I", 0, (2,)),
-            mk(2, "g", "E", 1, (3, 4)),
-            mk(3, "a", "R", 2, (5,)),
-            mk(4, "a -> g", "R", 2, (5,)),
-            mk(5, "a", "S", 3, (6, 7)),
-            mk(6, "a", "LEAF", 4),
-            mk(7, "b", "LEAF", 4),
+            mk(1, "a -> b -> a", "I", 0, (2,)),
+            mk(2, "b -> a", "E", 1, (3, 4)),
+            mk(3, "g -> b -> a", "I", 2, (5,)),
+            mk(4, "(g -> b -> a) -> b -> a", "I", 2, (5,)),
+            mk(5, "b -> a", "S", 3, (6, 7)),
+            mk(6, "b -> a", "LEAF", 4),
+            mk(7, "b -> a", "I", 4, (8,)),
+            mk(8, "a", "LEAF", 5),
         ],
         1,
     )
@@ -111,6 +115,16 @@ def malformed_under_separation(rule):
     )
 
 
+def raises_not_locally_correct(text):
+    """The one error every decider raises on a locally incorrect dag."""
+    return pytest.raises(LocalCorrectnessError, match=f"^{re.escape(text)}$")
+
+
+SEPARATION_UNDER_SEPARATION = (
+    "not locally correct: condition 2d at node 2: separation child 4 is itself a separation"
+)
+
+
 class TestBranchValues:
     """The separation goldens, read one commitment at a time: a separation
     node's branches are the values its parent can read."""
@@ -154,9 +168,10 @@ class TestEvaluate:
 
     def test_per_edge_divergence(self):
         d = two_edge_dag()
+        assert check_local_correctness(d).ok
         vals = evaluate(d, {(3, 5): 1, (4, 5): 2})
-        assert vals[3] == fs("a") and vals[4] == fs("b")
-        assert vals[2] == fs("a", "b")
+        assert vals[3] == fs("b -> a") and vals[4] == fs("a")
+        assert vals[2] == fs("a", "b -> a")
 
     def test_separation_nodes_carry_no_value(self):
         vals = evaluate(sep_proof_dag(), {(2, 3): 1})
@@ -165,7 +180,7 @@ class TestEvaluate:
 
     def test_separation_under_separation_raises_for_any_commitment(self):
         d = separation_under_separation("I")
-        with pytest.raises(ValueError, match=r"^separation node 4 directly under 2$"):
+        with raises_not_locally_correct(SEPARATION_UNDER_SEPARATION):
             evaluate(d, {(1, 2): 1, (2, 4): 1})
 
     def test_separation_root_has_no_root_value(self):
@@ -202,8 +217,8 @@ class TestProv1:
             leaf_under_repetition(),
             diamond_dag(),
             merge_pair_tree(),
-            introduction_onto_other_formula(),
         ):
+            assert check_local_correctness(d).ok
             by_threads = proves_by_threads(d)
             assert isinstance(by_threads, bool)
             assert prov(d) == prov1(d) == by_threads
@@ -214,9 +229,12 @@ class TestIntroductionOntoOtherFormula:
         d = introduction_onto_other_formula()
         report = check_local_correctness(d)
         assert [(v.condition, v.node) for v in report.violations] == [("2b", 1)]
-        assert prov(d) is prov1(d) is proves_by_threads(d) is False
-        assert search_choice(d) is None
-        assert evaluate(d, {})[1] == fs("a")
+        text = ("not locally correct: condition 2b at node 1:"
+                " conclusion does not introduce onto the child formula")
+        for decide in (prov, prov1, proves_by_threads, search_choice, lambda d: evaluate(d, {})):
+            with raises_not_locally_correct(text) as info:
+                decide(d)
+            assert info.value.report == report
 
 
 class TestSearchChoice:
@@ -236,7 +254,9 @@ class TestSearchChoice:
         assert search_choice(diamond_dag()) is None
 
     def test_two_edges_backtracks_to_last_pair(self):
-        assert search_choice(two_edge_dag()) == {(3, 5): 2, (4, 5): 2}
+        d = two_edge_dag()
+        assert check_local_correctness(d).ok
+        assert search_choice(d) == {(3, 5): 2, (4, 5): 2}
 
     def test_separation_root_gives_none(self):
         assert search_choice(separation_root()) is None
@@ -247,22 +267,22 @@ class TestSearchChoice:
         # reading node 4; under R a search in order reaches it. The outcome
         # must not depend on that.
         d = separation_under_separation(root_rule)
-        with pytest.raises(ValueError, match=r"^separation node 4 directly under 2$"):
+        with raises_not_locally_correct(SEPARATION_UNDER_SEPARATION):
             search_choice(d)
 
     @pytest.mark.parametrize(
         "rule, text",
         [
-            ("I", "introduction node 4 concludes a non-implication"),
-            ("E", "elimination node 4 has no major premise"),
+            ("I", "condition 2b at node 4: conclusion does not introduce onto the child formula"),
+            ("E", "condition 2c at node 4: no premise is the other premise arrow the conclusion"),
         ],
     )
     def test_malformed_branch_raises_before_any_commitment(self, rule, text):
         # Committing edge (1, 2) to branch 1 proves without reading node 4.
         d = malformed_under_separation(rule)
-        with pytest.raises(ValueError, match=f"^{text}$"):
+        with raises_not_locally_correct(f"not locally correct: {text}"):
             search_choice(d)
-        with pytest.raises(ValueError, match=f"^{text}$"):
+        with raises_not_locally_correct(f"not locally correct: {text}"):
             evaluate(d, {(1, 2): 1})
 
 

@@ -12,7 +12,8 @@ import sys
 
 import pytest
 
-from impdag.checker import encode, render_tuples
+from impdag.assignment import prov
+from impdag.checker import LocalCorrectnessError, encode, render_tuples
 from impdag.cli import main
 from impdag.deduction import Rule, build, save_deduction, threads, to_dict, write_json, write_text
 from impdag.formula import to_infix
@@ -121,6 +122,16 @@ class TestLocalCorrectnessGate:
         }
         assert len(results) == 1
         assert results.pop()[0] == 2
+
+    @pytest.mark.parametrize("condition", sorted(BAD_DAGS))
+    def test_stderr_is_the_library_error(self, tmp_path, capsys, condition):
+        d = BAD_DAGS[condition]()
+        with pytest.raises(LocalCorrectnessError) as info:
+            prov(d)
+        files = files_for(tmp_path, d)
+        for argv in DECIDERS:
+            _, _, err = run(fill(argv, files), capsys)
+            assert err == f"{info.value}\n", argv
 
 
 @pytest.mark.parametrize("kind", ["dag", "choice", "threads", "tuples"])

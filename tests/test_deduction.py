@@ -4,7 +4,7 @@ import json
 import pytest
 
 from conftest import diamond_dag, mk, sep_proof_dag, sep_stuck_dag
-from impdag.checker import check_local_correctness
+from impdag.checker import LocalCorrectnessError, check_local_correctness
 from impdag.deduction import (
     Deduction,
     FormatError,
@@ -114,7 +114,9 @@ def test_proves_by_threads():
 def test_single_node_dag_has_one_thread():
     d = build([mk(1, "a", "LEAF", 0)], root=1)
     assert threads(d) == [(1,)]
-    assert proves_by_threads(d) is False
+    text = "^not locally correct: condition 3 at node 1: root is a leaf$"
+    with pytest.raises(LocalCorrectnessError, match=text):
+        proves_by_threads(d)
 
 
 def test_tree_likeness():

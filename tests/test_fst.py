@@ -5,6 +5,7 @@ import io
 import pytest
 
 from impdag.assignment import prov
+from impdag.checker import check_local_correctness
 from impdag.deduction import FormatError, Rule, build, threads
 from impdag.fst import (
     CleansingError,
@@ -41,19 +42,20 @@ def weakening_proof():
 
 
 def shared_discharge_dag():
-    # Both premise chains of the root join at one introduction node above
-    # a separation; lets tests steer pairing through branch commitments.
-    # Deliberately ignores the rule-formula side conditions apart from
-    # thread closure, which is all cleansing inspects.
+    # Both premise chains of node 2 join at introduction node 5 above a
+    # separation, so the threads through either premise cross the one edge
+    # (5, 6); lets tests steer pairing through branch commitments. The root
+    # discharges the leaf formula a, so every thread is closed.
     return build(
         [
-            mk(1, "b", "E", 0, (2, 3)),
-            mk(2, "a", "R", 1, (4,)),
-            mk(3, "a -> b", "R", 1, (4,)),
-            mk(4, "a -> a", "I", 2, (5,)),
-            mk(5, "a", "S", 3, (6, 7)),
-            mk(6, "a", "LEAF", 4),
-            mk(7, "a", "LEAF", 4),
+            mk(1, "a -> g -> a", "I", 0, (2,)),
+            mk(2, "g -> a", "E", 1, (3, 4)),
+            mk(3, "g -> a", "R", 2, (5,)),
+            mk(4, "(g -> a) -> g -> a", "I", 2, (5,)),
+            mk(5, "g -> a", "I", 3, (6,)),
+            mk(6, "a", "S", 4, (7, 8)),
+            mk(7, "a", "LEAF", 5),
+            mk(8, "a", "LEAF", 5),
         ],
         1,
     )
@@ -174,18 +176,20 @@ class TestCleanse:
 
     def test_inconsistent_candidate_skipped(self):
         d = shared_discharge_dag()
+        assert check_local_correctness(d).ok
         enumerated = threads(d)
         reordered = ThreadSet(
             (enumerated[0], enumerated[3], enumerated[2], enumerated[1])
         )
         assert check_fst(d, reordered).is_fst
         choice, out = cleanse_via_fst(d, reordered)
-        assert choice == {(4, 5): 1}
-        assert 7 not in out.nodes
+        assert choice == {(5, 6): 1}
+        assert 8 not in out.nodes
         assert prov(out)
 
     def test_no_consistent_candidate(self):
         d = shared_discharge_dag()
+        assert check_local_correctness(d).ok
         enumerated = threads(d)
         divergent = ThreadSet((enumerated[0], enumerated[3]))
         assert check_fst(d, divergent).is_fst

@@ -3,7 +3,7 @@
 import pytest
 
 from impdag.assignment import ChoiceError, prov, search_choice
-from impdag.checker import check_local_correctness
+from impdag.checker import LocalCorrectnessError, check_local_correctness
 from impdag.deduction import Deduction, Overflow, Rule, build, canonical, is_tree_like, to_dict
 from impdag.formula import parse_infix, weight
 from impdag.transform import compress, level, s_eliminate, unfold
@@ -194,7 +194,7 @@ class TestCompress:
 
     def test_rejects_locally_incorrect(self):
         t = build([mk(1, "a", "R", 0, (2,)), mk(2, "b", "LEAF", 1)], 1)
-        with pytest.raises(ValueError, match="local correctness"):
+        with pytest.raises(LocalCorrectnessError, match="^not locally correct: condition 2a"):
             compress(t)
 
     def test_compressed_not_more_provable(self):

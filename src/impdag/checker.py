@@ -1,12 +1,12 @@
 """Local correctness checking and the flat tuple encoding.
 
-``check_local_correctness`` reports which clause of the node-local
-definition fails, identified by a short clause id, and keeps its report on
-the deduction, so each deduction is checked once however many callers ask:
+Local correctness is the node-local definition below, each clause named by
+a short id. ``build`` checks it in its one pass over the nodes: it enforces
+clauses 1a to 1c, raising StructureError, and keeps the report of the rule
+clauses on the deduction it returns, so ``check_local_correctness`` reads
+each report without another walk however many callers ask:
 
 * ``1a``  edge endpoints (leaves have no children, the root no parent);
-          a child or root id with no node is reported here alone, as no
-          other clause can be read without it;
 * ``1b``  root height is 0;
 * ``1c``  children sit exactly one level above their parent;
 * ``2a``  repetition repeats its child formula;
@@ -47,7 +47,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .deduction import Deduction, Node, Rule, StructureError, build, canonical_map
+from .deduction import (
+    Deduction, LCReport, Node, Rule, StructureError, Violation, build, canonical_map,
+)
 from .formula import (
     Formula,
     FormulaSyntaxError,
@@ -76,24 +78,8 @@ __all__ = [
 ]
 
 
-class Violation(NamedTuple):
-    condition: int | str
-    node: int | None
-    message: str
-
-
-class LCReport(NamedTuple):
-    ok: bool
-    violations: tuple[Violation, ...]
-
-
 class EncodingError(ValueError):
-    """The deduction cannot be encoded (separation nodes, or not locally
-    correct)."""
-
-    def __init__(self, message: str, report: LCReport | None = None) -> None:
-        super().__init__(message)
-        self.report = report
+    """The deduction has separation nodes, which the rows cannot hold."""
 
 
 class LocalCorrectnessError(ValueError):
@@ -114,9 +100,11 @@ class TupleFormatError(ValueError):
 
 
 def check_local_correctness(d: Deduction) -> LCReport:
-    """Report-valued check of every node-local clause; never raises.
-    Computed once per deduction."""
-    return d._memo("_report", _local_report)
+    """The local-correctness report that ``build`` keeps on every deduction
+    it returns. A deduction that ``build`` did not return, such as a
+    hand-assembled node map or a copy, is run through ``build`` once for it,
+    so a node map that ``build`` rejects raises its StructureError here."""
+    return d._memo("_report", lambda d: build(d.nodes.values(), d.root)._report)
 
 
 def _require_local_correctness(d: Deduction) -> None:
@@ -124,67 +112,6 @@ def _require_local_correctness(d: Deduction) -> None:
     report = check_local_correctness(d)
     if not report.ok:
         raise LocalCorrectnessError(report)
-
-
-def _local_report(d: Deduction) -> LCReport:
-    violations: list[Violation] = []
-
-    def flag(condition: int | str, node: int | None, message: str) -> None:
-        violations.append(Violation(condition, node, message))
-
-    nodes = d.nodes
-    try:
-        root = nodes[d.root]
-        if root.height != 0:
-            flag("1b", root.id, "root height is not 0")
-        if root.rule is Rule.LEAF:
-            flag("3", root.id, "root is a leaf")
-
-        # Node order is free: the final stable sort by (condition, node) puts
-        # the report in order, and each node's own violations keep theirs.
-        root_has_parent = False
-        for n in nodes.values():
-            root_has_parent |= root.id in n.children
-            if n.rule is Rule.LEAF and n.children:
-                flag("1a", n.id, "leaf has children")
-            for c in n.children:
-                if nodes[c].height != n.height + 1:
-                    flag("1c", n.id, f"child {c} is not one level up")
-            if n.rule is Rule.R:
-                if len(n.children) == 1 and nodes[n.children[0]].formula != n.formula:
-                    flag("2a", n.id, "repetition child formula differs")
-            elif n.rule is Rule.I:
-                if len(n.children) == 1:
-                    child = nodes[n.children[0]]
-                    ok = (
-                        isinstance(n.formula, Implication)
-                        and n.formula.consequent == child.formula
-                    )
-                    if not ok:
-                        flag("2b", n.id, "conclusion does not introduce onto the child formula")
-            elif n.rule is Rule.E:
-                if len(n.children) == 2:
-                    y, z = (nodes[c] for c in n.children)
-                    straight = is_implication(z.formula, y.formula, n.formula)
-                    swapped = is_implication(y.formula, z.formula, n.formula)
-                    if not (straight or swapped):
-                        flag("2c", n.id, "no premise is the other premise arrow the conclusion")
-            elif n.rule is Rule.S:
-                for c in n.children:
-                    ch = nodes[c]
-                    if ch.formula != n.formula:
-                        flag("2d", n.id, f"separation child {c} changes the formula")
-                    if ch.rule is Rule.S:
-                        flag("2d", n.id, f"separation child {c} is itself a separation")
-        if root_has_parent:  # first, so it leads the root's other 1a entries
-            violations.insert(0, Violation("1a", root.id, "root has a parent"))
-    except KeyError:  # a child or root id that names no node
-        violations = [Violation("1a", n.id, f"child {c} does not exist")
-                      for n in nodes.values() for c in n.children if c not in nodes]
-        if d.root not in nodes:
-            violations.append(Violation("1a", None, f"root {d.root} does not exist"))
-    ordered = tuple(sorted(violations, key=lambda v: (str(v.condition), v.node or 0)))
-    return LCReport(not ordered, ordered)
 
 
 class TupleRow(NamedTuple):
@@ -214,7 +141,8 @@ _ROW_TEXT = " ".join(["%s"] * len(TupleRow._fields))
 
 
 def encode(d: Deduction) -> TupleEncoding:
-    """Flatten a separation-free, locally correct deduction to tuple rows.
+    """Flatten a separation-free, locally correct deduction to tuple rows;
+    raises EncodingError on separation nodes, then LocalCorrectnessError.
 
     Node ids are renumbered 1..b breadth first from the root so the output
     is deterministic. The formula table lists every formula labelling a
@@ -223,19 +151,10 @@ def encode(d: Deduction) -> TupleEncoding:
     separations = [n.id for n in d.nodes.values() if n.rule is Rule.S]
     if separations:
         raise EncodingError(f"node {min(separations)} is a separation node")
-    report = check_local_correctness(d)
-    if not report.ok:
-        first = report.violations[0]
-        raise EncodingError(
-            f"not locally correct: condition {first.condition} at node {first.node}",
-            report,
-        )
+    _require_local_correctness(d)
 
     nodes = d.nodes
     new_id = canonical_map(d)  # in new-id order
-    if len(new_id) != len(nodes):
-        unreachable = min(i for i in nodes if i not in new_id)
-        raise EncodingError(f"node {unreachable} is unreachable from the root")
     table = sorted({n.formula for n in nodes.values()}, key=formula_key)
     code = {f: i for i, f in enumerate(table, 1)}
     ref = {i: (x, code[nodes[i].formula]) for i, x in new_id.items()}

@@ -111,15 +111,17 @@ def _print_violations(violations, stream) -> None:
 
 
 def _cmd_check(args) -> int:
-    from .checker import EncodingError, check_local_correctness, check_tuples, encode
+    from .checker import (
+        EncodingError, LocalCorrectnessError, check_local_correctness, check_tuples, encode,
+    )
     d = _load_dag(args.dag)
     if args.tuples:
         try:
             report = check_tuples(encode(d))
         except EncodingError as exc:
-            if exc.report is None:
-                _note(str(exc))
-                return NEGATIVE
+            _note(str(exc))
+            return NEGATIVE
+        except LocalCorrectnessError as exc:
             report = exc.report
     else:
         report = check_local_correctness(d)
@@ -266,12 +268,12 @@ def _cmd_cleanse(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    from .checker import EncodingError, encode, render_tuples
+    from .checker import EncodingError, LocalCorrectnessError, encode, render_tuples
     d = _load_dag(args.dag)
     try:
         t = encode(d)
-    except EncodingError as exc:
-        if exc.report is not None:
+    except (EncodingError, LocalCorrectnessError) as exc:
+        if isinstance(exc, LocalCorrectnessError):
             _print_violations(exc.report.violations, sys.stderr)
         _note(f"cannot encode: {exc}")
         return NEGATIVE

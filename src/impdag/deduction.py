@@ -20,8 +20,10 @@ root formula when every thread is closed.
 Trees are numbered 1..n breadth first by ``lay_out`` as they are grown;
 an existing dag is renumbered the same way by ``canonical``.
 
-A deduction keeps its parent map, local-correctness report and evaluation
-order once computed; copies and pickles drop them and compute them afresh.
+``build`` validates every deduction it returns and keeps its
+local-correctness report on it. A deduction keeps its parent map and
+evaluation order once computed; copies and pickles drop all three, and
+compute them afresh.
 
 A deduction file holds the JSON document of ``to_dict``. ``save_deduction``
 writes its text directly, with one ``json.dumps`` per distinct formula;
@@ -34,9 +36,9 @@ import json
 from collections import deque
 from enum import Enum
 from operator import itemgetter
-from typing import IO, Callable, Iterable, Mapping
+from typing import IO, Callable, Iterable, Mapping, NamedTuple
 
-from .formula import Formula, FormulaSyntaxError, is_implication, parse_infix, to_infix
+from .formula import Formula, FormulaSyntaxError, Implication, is_implication, parse_infix, to_infix
 
 __all__ = [
     "Rule",
@@ -183,13 +185,24 @@ class FormatError(ValueError):
     """An artifact file that is not UTF-8, not JSON, or not in its format."""
 
 
+class Violation(NamedTuple):
+    condition: int | str
+    node: int | None
+    message: str
+
+
+class LCReport(NamedTuple):
+    ok: bool
+    violations: tuple[Violation, ...]
+
+
 class Deduction(Record):
     """A node map and its root id; unhashable, as the map is a dict.
 
-    ``parents``, the ``check_local_correctness`` report, ``assignment``'s
-    node order and the ``prov`` verdict are kept in private slots once
-    computed, which equality, ``repr``, copies and pickles ignore. The node
-    map must not change once any is read.
+    ``build`` puts the ``check_local_correctness`` report in a private slot;
+    ``parents``, ``assignment``'s node order and the ``prov`` verdict are
+    kept in others once computed. Equality, ``repr``, copies and pickles
+    ignore them all. The node map must not change once any is read.
     """
 
     __slots__ = ("nodes", "root", "_parents", "_report", "_descending", "_proves")
@@ -225,12 +238,14 @@ def _parent_map(d: Deduction) -> dict[int, tuple[int, ...]]:
 
 
 def build(nodes: Iterable[Node], root: int) -> Deduction:
-    """Validate a node set and return the deduction.
+    """Validate a node set and return the deduction, with its
+    local-correctness report (see ``checker``) in its ``_report`` slot.
 
-    Checks ids, rule arities, leveling, the root and reachability; E children
-    are normalized to minor-first, major-second order when the formulas
-    determine an orientation. Raises StructureError listing every violated
-    invariant by node id.
+    Checks ids, rule arities, leveling, the root and reachability, and
+    raises StructureError listing every violated invariant by node id; the
+    rule clauses 2a to 2d and 3 are reported, not raised. E children are
+    normalized to minor-first, major-second order when the formulas
+    determine an orientation.
     """
     node_map: dict[int, Node] = {}
     bad: list[tuple[int | None, str]] = []
@@ -246,31 +261,50 @@ def build(nodes: Iterable[Node], root: int) -> Deduction:
     arity = {Rule.LEAF: 0, Rule.R: 1, Rule.I: 1, Rule.E: 2}
     missing: list[tuple[int | None, str]] = []
     violations: list[tuple[int | None, str]] = []
+    report: list[Violation] = []
+
+    def flag(condition: str, node: int, message: str) -> None:
+        report.append(Violation(condition, node, message))
+
     root_parented = False
+    R, I, E, S = Rule.R, Rule.I, Rule.E, Rule.S  # noqa: E741
     for n in node_map.values():
-        k = len(n.children)
-        if n.rule is Rule.S:
+        rule, formula, k = n.rule, n.formula, len(n.children)
+        if rule is S:
             if k < 2:
                 violations.append((n.id, f"S rule needs at least 2 children, got {k}"))
-        elif k != arity[n.rule]:
-            violations.append(
-                (n.id, f"{n.rule.value} rule needs {arity[n.rule]} children, got {k}")
-            )
-        if n.rule is Rule.E and k == 2:
-            y, z = (node_map.get(c) for c in n.children)
+        elif k != arity[rule]:
+            violations.append((n.id, f"{rule.value} rule needs {arity[rule]} children, got {k}"))
+        if rule is E and k == 2:
+            y, z = map(node_map.get, n.children)
             if n.children[0] == n.children[1]:
                 violations.append((n.id, "E rule needs two distinct children"))
             # store minor premise first when exactly the swapped order types;
             # replacing the value of a key leaves the iteration intact
-            elif y and z and not is_implication(z.formula, y.formula, n.formula):
-                if is_implication(y.formula, z.formula, n.formula):
-                    n = node_map[n.id] = Node(n.id, n.formula, n.rule, n.height, (z.id, y.id))
+            elif y and z and not is_implication(z.formula, y.formula, formula):
+                if is_implication(y.formula, z.formula, formula):
+                    n = node_map[n.id] = Node(n.id, formula, rule, n.height, (z.id, y.id))
+                else:
+                    flag("2c", n.id, "no premise is the other premise arrow the conclusion")
+        up = n.height + 1
         for c in n.children:
             ch = node_map.get(c)
             if ch is None:
                 missing.append((n.id, f"child {c} does not exist"))
-            elif ch.height != n.height + 1:
+                continue
+            if ch.height != up:
                 violations.append((n.id, f"child {c} height {ch.height} is not parent height + 1"))
+            if rule is R:
+                if ch.formula is not formula:
+                    flag("2a", n.id, "repetition child formula differs")
+            elif rule is I:
+                if not (isinstance(formula, Implication) and formula.consequent is ch.formula):
+                    flag("2b", n.id, "conclusion does not introduce onto the child formula")
+            elif rule is S:
+                if ch.formula is not formula:
+                    flag("2d", n.id, f"separation child {c} changes the formula")
+                if ch.rule is S:
+                    flag("2d", n.id, f"separation child {c} is itself a separation")
         root_parented = root_parented or root in n.children
     if missing:
         raise StructureError(missing)
@@ -294,7 +328,14 @@ def build(nodes: Iterable[Node], root: int) -> Deduction:
 
     if violations:
         raise StructureError(violations)
-    return Deduction(node_map, root)
+    if node_map[root].rule is Rule.LEAF:
+        flag("3", root, "root is a leaf")
+    # Node order is free: the stable sort orders the report by clause, then
+    # node, and each node's own violations keep theirs.
+    report.sort(key=lambda v: (v.condition, v.node))
+    d = Deduction(node_map, root)
+    object.__setattr__(d, "_report", LCReport(not report, tuple(report)))
+    return d
 
 
 def threads(d: Deduction, cap: int = DEFAULT_THREAD_CAP) -> list[Thread] | Overflow:

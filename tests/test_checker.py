@@ -10,6 +10,7 @@ from impdag.checker import (
     DecodeError,
     EncodingError,
     LCReport,
+    LocalCorrectnessError,
     TupleFormatError,
     TupleRow,
     Violation,
@@ -21,10 +22,13 @@ from impdag.checker import (
     render_tuples,
 )
 from impdag.cli import _load_correct_dag
-from impdag.deduction import Deduction, build, canonical, save_deduction
+from impdag.assignment import search_choice
+from impdag.deduction import (
+    Deduction, StructureError, build, canonical, load_deduction, save_deduction,
+)
 from impdag.formula import parse_infix, to_infix
 from impdag.prover import prove
-from impdag.transform import compress
+from impdag.transform import compress, level, s_eliminate, unfold
 
 from conftest import diamond_dag as make_diamond
 from conftest import merge_pair_tree as make_merge_pair
@@ -116,77 +120,98 @@ class TestLocalCorrectness:
         assert "2d" in conditions(check_local_correctness(d))
 
     def test_structural_clauses_on_raw_deduction(self):
-        # assembled by hand so the constructor-level checks cannot get in
-        # the way: leaf with a child, bad child height, root at height 2
+        # assembled by hand past build: leaf with a child, bad child height,
+        # root at height 2; the check runs build and raises its error
         nodes = {
             1: mk(1, "a", "R", 2, (2,)),
             2: mk(2, "a", "LEAF", 4, (3,)),
             3: mk(3, "a", "LEAF", 5),
         }
-        d = Deduction(nodes, 1)
-        got = conditions(check_local_correctness(d))
-        assert {"1a", "1b", "1c"} <= got
+        with pytest.raises(StructureError) as info:
+            check_local_correctness(Deduction(nodes, 1))
+        assert str(info.value) == (
+            "node 1: child 2 height 4 is not parent height + 1; "
+            "node 2: LEAF rule needs 0 children, got 1; node 1: root height is not 0"
+        )
 
-    def test_dangling_child_is_clause_1a(self):
+    def test_dangling_child_raises_build_error(self):
         d = Deduction({1: mk(1, "a -> a", "I", 0, (2,)), 2: mk(2, "a", "R", 1, (3, 4))}, 1)
-        assert check_local_correctness(d) == LCReport(False, (
-            Violation("1a", 2, "child 3 does not exist"),
-            Violation("1a", 2, "child 4 does not exist"),
-        ))
-        with pytest.raises(EncodingError, match="condition 1a at node 2"):
+        text = "^node 2: child 3 does not exist; node 2: child 4 does not exist$"
+        with pytest.raises(StructureError, match=text):
+            check_local_correctness(d)
+        with pytest.raises(StructureError, match=text):
             encode(d)
 
-    def test_missing_root_is_clause_1a(self):
+    def test_missing_root_raises_build_error(self):
         # tree-like by its edges, so compress gets as far as the check
         d = Deduction({1: mk(1, "a", "R", 1, (1,))}, 2)
-        assert check_local_correctness(d) == LCReport(
-            False, (Violation("1a", None, "root 2 does not exist"),)
-        )
-        with pytest.raises(EncodingError, match="condition 1a at node None"):
-            encode(d)
-        with pytest.raises(ValueError, match="condition 1a at node None"):
-            compress(d)
+        text = "^node 1: child 1 height 1 is not parent height \\+ 1; root 2 does not exist$"
+        for call in (check_local_correctness, encode, compress):
+            with pytest.raises(StructureError, match=text):
+                call(d)
 
     def test_violations_sorted_and_messages_present(self):
-        nodes = {
-            1: mk(1, "a", "R", 1, (2,)),
-            2: mk(2, "b", "LEAF", 2),
-        }
-        report = check_local_correctness(Deduction(nodes, 1))
-        conds = [str(v.condition) for v in report.violations]
-        assert conds == sorted(conds)
-        assert all(v.message for v in report.violations)
+        d = build(
+            [mk(1, "a", "I", 0, (2,)), mk(2, "b", "R", 1, (3,)), mk(3, "g", "LEAF", 2)], 1
+        )
+        assert check_local_correctness(d) == LCReport(False, (
+            Violation("2a", 2, "repetition child formula differs"),
+            Violation("2b", 1, "conclusion does not introduce onto the child formula"),
+        ))
 
 
 class TestReportMemo:
-    """The report is computed once per deduction and kept on it."""
+    """build keeps the report on every deduction it returns; any other
+    deduction runs build once, when it is first checked."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
-        """The deductions the clause walk runs on, in call order."""
-        calls, walk = [], checker._local_report
-        monkeypatch.setattr(checker, "_local_report", lambda d: calls.append(d) or walk(d))
+        """The node maps check_local_correctness runs build on, in call order."""
+        calls, walk = [], checker.build
+        monkeypatch.setattr(
+            checker, "build", lambda nodes, root: calls.append(nodes) or walk(nodes, root)
+        )
         return calls
 
-    def test_one_walk_per_object_across_callers(self, walks, tmp_path):
+    def test_no_walk_after_the_load(self, walks, tmp_path):
         path = tmp_path / "proof.json"
         save_deduction(prove(parse_infix("a -> (a -> b) -> b")), str(path))
-        assert len(walks) == 1  # prove certifies its tree
         d = _load_correct_dag(str(path))
         report = check_local_correctness(d)
         encode(d)
         compress(d)
-        assert report.ok and len(walks) == 2 and walks[1] is d
+        assert report.ok and walks == []
         assert check_local_correctness(d) is report
+
+    def test_every_producer_hands_out_its_report(self, walks, tmp_path):
+        tree = prove(parse_infix("(a -> b) -> (b -> g) -> a -> g"))
+        path = tmp_path / "proof.json"
+        save_deduction(tree, str(path))
+        sep = make_sep_proof()
+        products = {
+            "load_deduction": load_deduction(str(path)),
+            "prove": tree,
+            "level": level(tree),
+            "unfold": unfold(make_diamond()),
+            "compress": compress(tree)[0],
+            "s_eliminate": s_eliminate(sep, search_choice(sep)),
+            "decode": decode(encode(tree)),
+        }
+        assert products["level"] is not tree  # the proof has leaves of two heights
+        walked = len(walks)  # decode's own build
+        for name, d in products.items():
+            assert check_local_correctness(d).ok, name
+            assert len(walks) == walked, name
 
     def test_copies_compute_the_report_afresh(self, walks):
         d = make_diamond()
         report = check_local_correctness(d)
-        for clone in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        clones = (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d)))
+        for count, clone in enumerate(clones, 1):
             assert clone == d
             assert check_local_correctness(clone) == report
-            assert walks[-1] is clone
-        assert len(walks) == 4
+            assert len(walks) == count
+            assert check_local_correctness(clone) == report and len(walks) == count
 
     def test_memo_changes_no_equality_or_repr(self):
         checked, fresh = make_diamond(), make_diamond()
@@ -234,19 +259,21 @@ class TestEncode:
 
     def test_rejects_locally_incorrect(self):
         d = build([mk(1, "a", "R", 0, (2,)), mk(2, "b", "LEAF", 1)], 1)
-        with pytest.raises(EncodingError) as exc_info:
+        with pytest.raises(LocalCorrectnessError) as exc_info:
             encode(d)
-        assert exc_info.value.report is not None
-        assert not exc_info.value.report.ok
+        assert str(exc_info.value) == (
+            "not locally correct: condition 2a at node 1: repetition child formula differs"
+        )
+        assert exc_info.value.report is check_local_correctness(d)
 
     def test_rejects_unreachable_nodes(self):
-        # assembled by hand: build rejects unreachable nodes itself
+        # assembled by hand past build, which the check runs on it
         nodes = {
             1: mk(1, "a -> a", "I", 0, (2,)),
             2: mk(2, "a", "LEAF", 1),
             5: mk(5, "a", "LEAF", 1),
         }
-        with pytest.raises(EncodingError, match="node 5 is unreachable"):
+        with pytest.raises(StructureError, match="^node 5: unreachable from root$"):
             encode(Deduction(nodes, 1))
 
     def test_over_budget_flag(self):

@@ -1,16 +1,20 @@
 """One contract for every decider on the deductions ``build`` accepts: a
 locally incorrect one is refused by each with ``LocalCorrectnessError`` and
 the same text, naming the first violation of ``check_local_correctness``;
-on a locally correct one the deciders answer, and agree.
+on a locally correct one the deciders answer, and agree. A node map that
+``build`` rejects, assembled without it, is refused by each with the
+StructureError ``build`` raises on it.
 
 Inputs: the seeded valid dags of ``test_local_correctness_differential``,
-each changed 30 times by its ``mutated`` helper and kept when ``build``
-accepts the change. Mutants without separation nodes go to ``prov``,
-``prov1``, ``proves_by_threads``, ``search_choice``, ``evaluate``, the two
+each changed 30 times by its ``mutated`` helper. Mutants that ``build``
+accepts without separation nodes go to ``prov``, ``prov1``,
+``proves_by_threads``, ``search_choice``, ``evaluate``, the two
 fundamental-set entry points and, when tree-like, ``compress``; mutants
 with separation nodes, and the valid dags with them, go to the same
 deciders, which refuse them or, for a certificate ``search_choice`` finds,
-must confirm it.
+must confirm it. Mutants that ``build`` rejects, and four hand-assembled
+maps (a premise-less repetition, a two-premise introduction, a one-branch
+separation and an unreachable node), go to all of them.
 """
 
 import random
@@ -23,7 +27,8 @@ from impdag.deduction import Overflow, Rule, StructureError, build, is_tree_like
 from impdag.fst import ThreadSet, check_fst, cleanse_via_fst
 from impdag.transform import compress, s_eliminate
 
-from test_local_correctness_differential import mutated, valid_dags
+from conftest import mk
+from test_local_correctness_differential import mutated, raw, valid_dags
 
 EMPTY = ThreadSet(())
 
@@ -46,12 +51,22 @@ def shared_deciders(d):
     }
 
 
+# Node maps that build rejects but that the old check called locally correct.
+HAND_ASSEMBLED = [
+    raw([mk(1, "a -> a", "I", 0, (2,)), mk(2, "a", "R", 1)], 1),
+    raw([mk(1, "a -> a", "I", 0, (2, 3)), mk(2, "a", "LEAF", 1), mk(3, "a", "LEAF", 1)], 1),
+    raw([mk(1, "a -> a", "I", 0, (2,)), mk(2, "a", "S", 1, (3,)), mk(3, "a", "LEAF", 2)], 1),
+    raw([mk(1, "a -> a", "I", 0, (2,)), mk(2, "a", "LEAF", 1), mk(3, "b", "LEAF", 1)], 1),
+]
+
+
 @pytest.fixture(scope="module")
 def mutants():
     """The mutants ``build`` accepts, split by whether they have S nodes; the
-    valid dags with S nodes join their mutants."""
+    valid dags with S nodes join their mutants. Those it rejects, as
+    assembled, are under "rejected"."""
     rng = random.Random(11)
-    split = {False: [], True: []}
+    split = {False: [], True: [], "rejected": []}
     for d in valid_dags(random.Random(5)):
         if any(n.rule is Rule.S for n in d.nodes.values()):
             split[True].append(d)
@@ -60,6 +75,7 @@ def mutants():
             try:
                 m = build(m.nodes.values(), m.root)
             except StructureError:
+                split["rejected"].append(m)
                 continue
             split[any(n.rule is Rule.S for n in m.nodes.values())].append(m)
     return split
@@ -113,3 +129,19 @@ def test_separation_mutants(mutants):
             assert evaluate(d, choice)[d.root] == frozenset()
             cleansed = s_eliminate(d, choice)
             assert prov(cleansed) and prov1(cleansed)
+
+
+def test_rejected_node_maps(mutants):
+    rejected = HAND_ASSEMBLED + mutants["rejected"]
+    assert len(mutants["rejected"]) >= 1000
+    for d in rejected:
+        with pytest.raises(StructureError) as built:
+            build(d.nodes.values(), d.root)
+        calls = shared_deciders(d)
+        calls["check_local_correctness"] = lambda: check_local_correctness(d)
+        if is_tree_like(d):
+            calls["compress"] = lambda: compress(d)
+        for name, call in calls.items():
+            with pytest.raises(StructureError) as info:
+                call()
+            assert str(info.value) == str(built.value), name

@@ -6,9 +6,9 @@ Inputs: hand-assembled faulty deductions; the deductions that encodings
 damaged by ``corrupt_encoding`` describe; and seeded random dags, corpus
 proofs and their compressed forms with one to three nodes mutated (formula,
 rule, height or children), each also with its node map in shuffled order.
-Compared: the violation list in order, or the type and text of the
-exception. Where the old check raised KeyError, on a child or root id that
-names no node, the check now reports those ids as clause 1a instead.
+On every node map that ``build`` accepts, the violation list is compared
+in order with the reference's. On every map it rejects, the check raises
+its StructureError, with the same text.
 """
 
 import copy
@@ -17,7 +17,7 @@ import random
 import pytest
 
 from impdag.checker import LCReport, Violation, check_local_correctness, encode
-from impdag.deduction import Deduction, Node, Rule
+from impdag.deduction import Deduction, Node, Rule, StructureError, build
 from impdag.formula import Implication, is_implication, parse_infix
 from impdag.gen import random_local_dag
 from impdag.prover import prove
@@ -178,28 +178,24 @@ def outcome(check, d):
         return ("raised", type(exc), str(exc))
 
 
-def dangling_report(d):
-    """What the check reports where the reference raises KeyError: each
-    child id, and the root id, that names no node, as a clause-1a violation."""
-    violations = []
-    if d.root not in d.nodes:
-        violations.append(Violation("1a", None, f"root {d.root} does not exist"))
-    for n in sorted(d.nodes.values(), key=lambda n: n.id):
-        violations += [
-            Violation("1a", n.id, f"child {c} does not exist") for c in n.children if c not in d.nodes
-        ]
-    ordered = tuple(sorted(violations, key=lambda v: (str(v.condition), v.node or 0)))
-    return LCReport(False, ordered)
+def expected(d):
+    """The reference report where ``build`` accepts the node map of ``d``;
+    where it rejects it, the type and text of its StructureError."""
+    try:
+        build(d.nodes.values(), d.root)
+    except StructureError as exc:
+        return ("raised", StructureError, str(exc))
+    return reference_check_local_correctness(d)
 
 
 def assert_same(d, rng):
-    want = outcome(reference_check_local_correctness, d)
-    if want[0] == "raised" and want[1] is KeyError:
-        want = dangling_report(d)
+    want = expected(d)
     assert outcome(check_local_correctness, d) == want
     # The report kept on d is the one a copy, which keeps none, computes.
-    assert check_local_correctness(d) == check_local_correctness(copy.copy(d))
-    assert outcome(check_local_correctness, shuffled(d, rng)) == want
+    assert outcome(check_local_correctness, d) == outcome(check_local_correctness, copy.copy(d))
+    # build names violations in node map order, the reference in id order.
+    twin = shuffled(d, rng)
+    assert outcome(check_local_correctness, twin) == expected(twin)
     return want
 
 
@@ -208,8 +204,9 @@ def assert_same(d, rng):
 
 def test_faulty_fixtures_match():
     rng = random.Random(1)
-    for d in FAULTY:
-        assert assert_same(d, rng) != CLEAN
+    outcomes = [assert_same(d, rng) for d in FAULTY]
+    assert CLEAN not in outcomes
+    assert sum(isinstance(want, LCReport) for want in outcomes) == 7  # build accepts these
 
 
 def test_valid_dags_match():
@@ -236,8 +233,8 @@ def test_corrupted_encodings_match(condition):
 
 def test_mutated_dags_match():
     rng = random.Random(4)
-    faults = 0
-    for d in valid_dags(random.Random(5)):
-        for _ in range(5):
-            faults += assert_same(mutated(d, rng), rng) != CLEAN
-    assert faults >= 300
+    outcomes = [assert_same(mutated(d, rng), rng) for d in valid_dags(random.Random(5))
+                for _ in range(5)]
+    assert sum(want != CLEAN for want in outcomes) >= 300
+    # build accepts enough faulty mutants for the reference to judge
+    assert sum(isinstance(want, LCReport) and not want.ok for want in outcomes) >= 50

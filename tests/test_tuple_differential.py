@@ -10,8 +10,11 @@ and malformed table texts. Compared: the rendered text byte for byte,
 violation lists in order, ``to_dict`` of the decoded deduction, and the
 type and text of every exception.
 
-The one intended difference: equal rows with one id are one node, so
-``decode`` accepts them where the old code reported a duplicate id.
+Two intended differences: equal rows with one id are one node, so
+``decode`` accepts them where the old code reported a duplicate id; and
+``encode`` refuses a locally incorrect deduction with the deciders'
+``LocalCorrectnessError``, which the reference raises in place of the old
+``EncodingError``.
 """
 
 import random
@@ -22,6 +25,7 @@ import pytest
 from impdag.checker import (
     DecodeError,
     EncodingError,
+    LocalCorrectnessError,
     TupleFormatError,
     check_local_correctness,
     check_tuples,
@@ -106,11 +110,7 @@ def reference_encode(d):
             raise EncodingError(f"node {n.id} is a separation node")
     report = check_local_correctness(d)
     if not report.ok:
-        first = report.violations[0]
-        raise EncodingError(
-            f"not locally correct: condition {first.condition} at node {first.node}",
-            report,
-        )
+        raise LocalCorrectnessError(report)
 
     c = canonical(d)
     table = sorted({n.formula for n in c.nodes.values()}, key=formula_key)

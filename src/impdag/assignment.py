@@ -34,10 +34,6 @@ only the nodes above a separation edge are evaluated again.
 crosses an introduction edge discharging its formula, so pruning those
 edges and testing reachability decides the same property without building
 any formula sets.
-
-Values and provability are defined on locally correct deductions only:
-every public function here first reads the memoised report of
-``check_local_correctness`` and raises ``LocalCorrectnessError`` on it.
 """
 
 from __future__ import annotations
@@ -46,9 +42,8 @@ from collections import deque
 from operator import attrgetter
 from typing import IO
 
-from .checker import _require_local_correctness
-from .deduction import Deduction, FormatError, Node, Rule, canonical_map
-from .deduction import read_json, write_json
+from .deduction import Deduction, FormatError, Node, Rule, _require_local_correctness
+from .deduction import canonical_map, read_json, write_json
 from .formula import Formula, formula_key
 
 __all__ = [
@@ -178,8 +173,7 @@ def search_choice(d: Deduction) -> Choice | None:
     program = _Program(d)
     edges = program.edges
     rank = canonical_map(d)  # parents breadth first, then children in stored order
-    keys = sorted((rank[p], d.nodes[p].children.index(s), e)
-                  for e, (p, s) in enumerate(edges) if p in rank)
+    keys = sorted((rank[p], d.nodes[p].children.index(s), e) for e, (p, s) in enumerate(edges))
     order = [e for _, _, e in keys]
     picks = [0] * len(edges)
     tried = [0] * len(order)  # per depth, the 1-based branch picked last

@@ -1,20 +1,7 @@
-"""Local correctness checking and the flat tuple encoding.
+"""The flat tuple encoding of a deduction.
 
-Local correctness is the node-local definition below, each clause named by
-a short id. ``build`` checks it in its one pass over the nodes: it enforces
-clauses 1a to 1c, raising StructureError, and keeps the report of the rule
-clauses on the deduction it returns, so ``check_local_correctness`` reads
-each report without another walk however many callers ask:
-
-* ``1a``  edge endpoints (leaves have no children, the root no parent);
-* ``1b``  root height is 0;
-* ``1c``  children sit exactly one level above their parent;
-* ``2a``  repetition repeats its child formula;
-* ``2b``  introduction prepends an antecedent to its child formula;
-* ``2c``  one elimination premise is the other premise arrow the conclusion;
-* ``2d``  separation children repeat the node formula and are not
-          themselves separations;
-* ``3``   the root is not a leaf.
+Local correctness lives in ``deduction``; its ``check_local_correctness``,
+``LocalCorrectnessError``, ``Violation`` and ``LCReport`` are re-exported here.
 
 ``encode`` flattens a separation-free, locally correct deduction into rows
 
@@ -48,7 +35,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .deduction import (
-    Deduction, LCReport, Node, Rule, StructureError, Violation, build, canonical_map,
+    Deduction, LCReport, LocalCorrectnessError, Node, Rule, StructureError, Violation,
+    _require_local_correctness, build, canonical_map, check_local_correctness,
 )
 from .formula import (
     Formula,
@@ -82,36 +70,12 @@ class EncodingError(ValueError):
     """The deduction has separation nodes, which the rows cannot hold."""
 
 
-class LocalCorrectnessError(ValueError):
-    """A decider was given a deduction that is not locally correct; the text
-    names the first violation, ``report`` holds them all."""
-
-    def __init__(self, report: LCReport) -> None:
-        super().__init__("not locally correct: condition %s at node %s: %s" % report.violations[0])
-        self.report = report
-
-
 class DecodeError(ValueError):
     """The tuple rows do not describe a deduction."""
 
 
 class TupleFormatError(ValueError):
     """The tuple document text is malformed."""
-
-
-def check_local_correctness(d: Deduction) -> LCReport:
-    """The local-correctness report that ``build`` keeps on every deduction
-    it returns. A deduction that ``build`` did not return, such as a
-    hand-assembled node map or a copy, is run through ``build`` once for it,
-    so a node map that ``build`` rejects raises its StructureError here."""
-    return d._memo("_report", lambda d: build(d.nodes.values(), d.root)._report)
-
-
-def _require_local_correctness(d: Deduction) -> None:
-    """Raise LocalCorrectnessError unless ``d`` is locally correct; every decider calls it first."""
-    report = check_local_correctness(d)
-    if not report.ok:
-        raise LocalCorrectnessError(report)
 
 
 class TupleRow(NamedTuple):

@@ -29,9 +29,12 @@ from .deduction import (
     DEFAULT_THREAD_CAP,
     Deduction,
     FormatError,
+    LocalCorrectnessError,
     Overflow,
     Rule,
     StructureError,
+    _require_local_correctness,
+    check_local_correctness,
     load_deduction,
     proves_by_threads,
     read_text,
@@ -75,7 +78,6 @@ def _load_dag(path: str) -> Deduction:
 def _load_correct_dag(path: str) -> Deduction:
     """A deduction for the deciders, which assume local correctness; any
     violation is malformed input, reported by its first condition."""
-    from .checker import LocalCorrectnessError, _require_local_correctness
     d = _load_dag(path)
     try:
         _require_local_correctness(d)
@@ -111,11 +113,9 @@ def _print_violations(violations, stream) -> None:
 
 
 def _cmd_check(args) -> int:
-    from .checker import (
-        EncodingError, LocalCorrectnessError, check_local_correctness, check_tuples, encode,
-    )
     d = _load_dag(args.dag)
     if args.tuples:
+        from .checker import EncodingError, check_tuples, encode
         try:
             report = check_tuples(encode(d))
         except EncodingError as exc:
@@ -268,7 +268,7 @@ def _cmd_cleanse(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    from .checker import EncodingError, LocalCorrectnessError, encode, render_tuples
+    from .checker import EncodingError, encode, render_tuples
     d = _load_dag(args.dag)
     try:
         t = encode(d)

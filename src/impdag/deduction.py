@@ -20,10 +20,24 @@ root formula when every thread is closed.
 Trees are numbered 1..n breadth first by ``lay_out`` as they are grown;
 an existing dag is renumbered the same way by ``canonical``.
 
-``build`` validates every deduction it returns and keeps its
-local-correctness report on it. A deduction keeps its parent map and
-evaluation order once computed; copies and pickles drop all three, and
-compute them afresh.
+Local correctness is the node-local definition below, each clause named
+by a short id. ``build`` checks it in its one pass over the nodes: it
+enforces clauses 1a to 1c, raising StructureError, and keeps the report of
+the rule clauses on the deduction it returns, which
+``check_local_correctness`` reads without another walk:
+
+* ``1a``  edge endpoints (leaves have no children, the root no parent);
+* ``1b``  root height is 0;
+* ``1c``  children sit exactly one level above their parent;
+* ``2a``  repetition repeats its child formula;
+* ``2b``  introduction prepends an antecedent to its child formula;
+* ``2c``  one elimination premise is the other premise arrow the conclusion;
+* ``2d``  separation children repeat the node formula and are not
+          themselves separations;
+* ``3``   the root is not a leaf.
+
+Every decider, ``compress`` and ``encode`` first read that report and
+raise LocalCorrectnessError on a violation.
 
 A deduction file holds the JSON document of ``to_dict``. ``save_deduction``
 writes its text directly, with one ``json.dumps`` per distinct formula;
@@ -48,7 +62,9 @@ __all__ = [
     "StructureError",
     "FormatError",
     "Thread",
+    "LocalCorrectnessError",
     "build",
+    "check_local_correctness",
     "threads",
     "is_closed",
     "proves_by_threads",
@@ -196,6 +212,15 @@ class LCReport(NamedTuple):
     violations: tuple[Violation, ...]
 
 
+class LocalCorrectnessError(ValueError):
+    """A decider was given a deduction that is not locally correct; the text
+    names the first violation, ``report`` holds them all."""
+
+    def __init__(self, report: LCReport) -> None:
+        super().__init__("not locally correct: condition %s at node %s: %s" % report.violations[0])
+        self.report = report
+
+
 class Deduction(Record):
     """A node map and its root id; unhashable, as the map is a dict.
 
@@ -239,11 +264,11 @@ def _parent_map(d: Deduction) -> dict[int, tuple[int, ...]]:
 
 def build(nodes: Iterable[Node], root: int) -> Deduction:
     """Validate a node set and return the deduction, with its
-    local-correctness report (see ``checker``) in its ``_report`` slot.
+    local-correctness report in its ``_report`` slot.
 
-    Checks ids, rule arities, leveling, the root and reachability, and
-    raises StructureError listing every violated invariant by node id; the
-    rule clauses 2a to 2d and 3 are reported, not raised. E children are
+    Checks ids, rule arities with distinct E and S children, leveling, the
+    root and reachability, and raises StructureError listing every violated
+    invariant by node id; the rule clauses 2a to 2d and 3 are reported. E children are
     normalized to minor-first, major-second order when the formulas
     determine an orientation.
     """
@@ -273,6 +298,8 @@ def build(nodes: Iterable[Node], root: int) -> Deduction:
         if rule is S:
             if k < 2:
                 violations.append((n.id, f"S rule needs at least 2 children, got {k}"))
+            elif len(set(n.children)) < k:
+                violations.append((n.id, "S rule needs distinct children"))
         elif k != arity[rule]:
             violations.append((n.id, f"{rule.value} rule needs {arity[rule]} children, got {k}"))
         if rule is E and k == 2:
@@ -338,6 +365,21 @@ def build(nodes: Iterable[Node], root: int) -> Deduction:
     return d
 
 
+def check_local_correctness(d: Deduction) -> LCReport:
+    """The local-correctness report that ``build`` keeps on every deduction
+    it returns. A deduction that ``build`` did not return, such as a
+    hand-assembled node map or a copy, is run through ``build`` once for it,
+    so a node map that ``build`` rejects raises its StructureError here."""
+    return d._memo("_report", lambda d: build(d.nodes.values(), d.root)._report)
+
+
+def _require_local_correctness(d: Deduction) -> None:
+    """Raise LocalCorrectnessError unless ``d`` is locally correct; every decider calls it first."""
+    report = check_local_correctness(d)
+    if not report.ok:
+        raise LocalCorrectnessError(report)
+
+
 def threads(d: Deduction, cap: int = DEFAULT_THREAD_CAP) -> list[Thread] | Overflow:
     """All maximal root-to-leaf chains, depth first with children in stored
     order. Returns Overflow instead of a list when more than ``cap`` threads
@@ -369,7 +411,6 @@ def is_closed(d: Deduction, thread: Thread) -> bool:
 
 def proves_by_threads(d: Deduction, cap: int = DEFAULT_THREAD_CAP) -> bool | Overflow:
     """Whether every thread is closed; LocalCorrectnessError unless ``d`` is locally correct."""
-    from .checker import _require_local_correctness
     _require_local_correctness(d)
     ts = threads(d, cap)
     if isinstance(ts, Overflow):

@@ -27,9 +27,6 @@ dense and preserves eliminations, and ``prov`` holds exactly when each of
 those threads is closed; ``prov`` keeps its verdict on the dag, so both
 calls on one image decide it once. When ``prov`` fails, or the dag has
 separation nodes, the image is walked as any other collection is.
-
-Both entry points first read the dag's memoised local-correctness report
-and raise ``LocalCorrectnessError`` on a violation.
 """
 
 from __future__ import annotations
@@ -39,8 +36,8 @@ from itertools import islice
 from typing import IO, Iterator
 
 from .assignment import Choice, prov
-from .checker import _require_local_correctness
-from .deduction import Deduction, FormatError, Record, Rule, Thread, read_json, write_json
+from .deduction import Deduction, FormatError, Record, Rule, Thread, _require_local_correctness
+from .deduction import read_json, write_json
 from .transform import s_eliminate
 
 __all__ = [
@@ -121,7 +118,7 @@ def _survey(
         out = edges[n.id]
         for c in n.children:
             other = other_at = None
-            if n.rule is Rule.E and len(n.children) == 2:
+            if n.rule is Rule.E:
                 minor, major = n.children
                 other = major if minor == c else minor
                 other_at = position[other]
@@ -286,7 +283,7 @@ def cleanse_via_fst(d: Deduction, collection: ThreadSet) -> tuple[Choice, Deduct
                 retain(pick)
         for node in d.nodes.values():
             if node.rule is Rule.S:
-                for parent in d.parents.get(node.id, ()):
+                for parent in d.parents[node.id]:
                     choice.setdefault((parent, node.id), 1)
 
     # Without S nodes nothing is eliminated, and a dense set reaches every node.

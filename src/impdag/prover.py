@@ -9,8 +9,8 @@ every parent shares its proof. A step records each substitution of a proof
 for a hypothesis, and the walk laying out the tree-like deduction applies
 them: to every leaf carrying the hypothesis, discharged or not, innermost
 substitution first, and to the proof put in only for the substitutions
-enclosing its own. Every output is re-checked against the structural
-checker and the assignment semantics before being returned.
+enclosing its own. Every output is re-checked for local correctness and
+against the assignment semantics before being returned.
 
 A sequent's context is a set of hypotheses, as in LJT. Where a rule picks
 a hypothesis it takes them in ``formula_key`` order, so proofs do not
@@ -27,8 +27,8 @@ mentions falsum.
 from __future__ import annotations
 
 from .assignment import prov
-from .checker import check_local_correctness
 from .deduction import DEFAULT_ORACLE_WEIGHT, Deduction, Overflow, Rule, is_tree_like, lay_out
+from .deduction import check_local_correctness
 from .formula import Atom, Formula, Implication, formula_key, weight
 
 __all__ = [

@@ -2,13 +2,13 @@
 
 ``unfold`` copies every shared node once per path, turning a dag into the
 equivalent tree at a possibly exponential size (capped). ``compress`` goes
-the other way for trees, padding short branches as ``level`` does but
-without building the padded tree: nodes of one level with equal formulas
-merge into a single representative, and where the merged originals were
-concluded by different premise groups the representative becomes a
-separation node over one dispatch child per group. ``s_eliminate`` removes
-separation nodes again once a branch commitment is fixed, keeping only
-what the root still reaches.
+the other way for separation-free trees, padding short branches as
+``level`` does but without building the padded tree: nodes of one level
+with equal formulas merge into a single representative, and where the
+merged originals were concluded by different premise groups the
+representative becomes a separation node over one dispatch child per
+group. ``s_eliminate`` removes separation nodes again once a branch
+commitment is fixed, keeping only what the root still reaches.
 
 Compression maps original level h to two output layers: the merge layer
 2h holds one representative per distinct formula, the dispatch layer 2h+1
@@ -23,7 +23,6 @@ thread-set input the cleansing machinery expects.
 
 from __future__ import annotations
 
-from .checker import _require_local_correctness
 from .deduction import (
     DEFAULT_NODE_CAP,
     Deduction,
@@ -31,6 +30,7 @@ from .deduction import (
     Overflow,
     Rule,
     Thread,
+    _require_local_correctness,
     build,
     canonical_map,
     is_tree_like,
@@ -107,7 +107,8 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
     ``ThreadSet(image)`` with that very dag by ``prov`` when it has no
     separation node; any other collection, ``tuple(image)`` included, is
     checked thread by thread. Raises ValueError unless ``t`` is tree-like,
-    then LocalCorrectnessError unless it is locally correct.
+    then LocalCorrectnessError unless it is locally correct, then ValueError
+    on a separation node, whose merged branches would break clause 2d.
     """
     if not is_tree_like(t):
         raise ValueError("compress() expects a tree-like deduction; 'unfold' produces one")
@@ -120,6 +121,9 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
         key = (n.formula, n.rule, tuple(class_of[c] for c in n.children))
         class_of[n.id] = interned.setdefault(key, len(interned))
     shapes = list(interned)
+    if any(rule is Rule.S for _, rule, _ in shapes):
+        s = min(n.id for n in t.nodes.values() if n.rule is Rule.S)
+        raise ValueError(f"compress() expects a separation-free tree; node {s} is an S node")
     bottom = t.height()
     root = class_of[t.root]
 

@@ -18,7 +18,7 @@ from impdag.formula import is_implication
 from conftest import corrupt_encoding, mk
 from test_local_correctness_differential import FAULTY, described, mutated, raw, valid_dags
 
-# ------------------------------------------------- the old build, verbatim
+# ---------- the old build, verbatim but for the distinct S children rule
 
 
 def reference_build(nodes, root):
@@ -46,6 +46,8 @@ def reference_build(nodes, root):
         if n.rule is Rule.S:
             if k < 2:
                 violations.append((n.id, f"S rule needs at least 2 children, got {k}"))
+            elif len(set(n.children)) < k:
+                violations.append((n.id, "S rule needs distinct children"))
         elif k != arity[n.rule]:
             violations.append(
                 (n.id, f"{n.rule.value} rule needs {arity[n.rule]} children, got {k}")
@@ -142,6 +144,7 @@ KINDS = (
     "does not exist",
     "children, got",
     "two distinct children",
+    "S rule needs distinct children",
     "parent height + 1",
     "root height is not 0",
     "root has a parent",

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from impdag import checker
+from impdag import checker, deduction
 from impdag.checker import (
     DecodeError,
     EncodingError,
@@ -46,6 +46,10 @@ def conditions(report):
 
 
 class TestLocalCorrectness:
+    def test_checker_reexports_the_objects_of_deduction(self):
+        for name in ("check_local_correctness", "LocalCorrectnessError", "Violation", "LCReport"):
+            assert getattr(checker, name) is getattr(deduction, name)
+
     def test_golden_dags_pass(self):
         for d in (make_sep_proof(), make_diamond(), make_merge_pair()):
             report = check_local_correctness(d)
@@ -166,10 +170,11 @@ class TestReportMemo:
 
     @pytest.fixture
     def walks(self, monkeypatch):
-        """The node maps check_local_correctness runs build on, in call order."""
-        calls, walk = [], checker.build
+        """The node maps ``deduction`` runs build on, in call order: for its
+        loader and tree layout, and for check_local_correctness."""
+        calls, walk = [], deduction.build
         monkeypatch.setattr(
-            checker, "build", lambda nodes, root: calls.append(nodes) or walk(nodes, root)
+            deduction, "build", lambda nodes, root: calls.append(nodes) or walk(nodes, root)
         )
         return calls
 
@@ -177,10 +182,11 @@ class TestReportMemo:
         path = tmp_path / "proof.json"
         save_deduction(prove(parse_infix("a -> (a -> b) -> b")), str(path))
         d = _load_correct_dag(str(path))
+        walked = len(walks)  # the proof's and the load's own builds
         report = check_local_correctness(d)
         encode(d)
         compress(d)
-        assert report.ok and walks == []
+        assert report.ok and len(walks) == walked
         assert check_local_correctness(d) is report
 
     def test_every_producer_hands_out_its_report(self, walks, tmp_path):
@@ -198,7 +204,7 @@ class TestReportMemo:
             "decode": decode(encode(tree)),
         }
         assert products["level"] is not tree  # the proof has leaves of two heights
-        walked = len(walks)  # decode's own build
+        walked = len(walks)  # the producers' own builds
         for name, d in products.items():
             assert check_local_correctness(d).ok, name
             assert len(walks) == walked, name

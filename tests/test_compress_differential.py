@@ -3,11 +3,14 @@ the per-node body it replaced, which needed a leveled tree. Both ``compress(t)``
 and ``compress(level(t))`` must give the reference's dag and thread image for
 ``level(t)``, on the prover's corpus and family trees, on seeded trees closed
 by an introduction chain, and on unfolded dags with separation nodes, whole
-and with subtrees cut off. Where the dag has no separation node, the image
+and with subtrees cut off; a tree that keeps a separation node must be
+refused with ValueError, as merging its branches breaks clause 2d. Where the dag has no separation node, the image
 must be its ``threads``, in order. The sizes of the compressed family
 proofs are pinned to their closed forms."""
 
 import random
+
+import pytest
 
 from impdag.checker import check_local_correctness
 from impdag.deduction import (
@@ -193,11 +196,16 @@ def test_closed_random_trees_match_the_reference():
 
 
 def test_unfolded_separation_dags_match_the_reference():
-    seen = {"unleveled": 0, "s_in": 0, "s_out": 0}
+    seen = {"unleveled": 0, "s_in": 0, "s_out": 0, "refused": 0}
     for seed in range(200):
         made = random_separation_dag(seed)
         if made is not None:
             tree = unfold(made[0])
-            check(tree, seen)
-            check(pruned(tree, random.Random(seed)), seen)
-    assert seen["unleveled"] and seen["s_in"] and seen["s_out"], seen
+            for t in (tree, pruned(tree, random.Random(seed))):
+                if has_s(t):
+                    with pytest.raises(ValueError, match="^compress.. expects a separation-free"):
+                        compress(t)
+                    seen["refused"] += 1
+                else:
+                    check(t, seen)
+    assert seen["unleveled"] and seen["refused"], seen

@@ -54,6 +54,20 @@ def test_build_rejects_short_separation():
         )
 
 
+def test_build_rejects_a_separation_listing_one_child_twice():
+    # Accepted, it would list one thread twice and its parent twice over.
+    with pytest.raises(StructureError, match="^node 2: S rule needs distinct children$"):
+        build(
+            [
+                mk(1, "a -> a", "I", 0, [2]),
+                mk(2, "a", "S", 1, [3, 3, 4]),
+                mk(3, "a", "LEAF", 2),
+                mk(4, "a", "LEAF", 2),
+            ],
+            root=1,
+        )
+
+
 def test_build_rejects_unreachable_and_rooted_elsewhere():
     with pytest.raises(StructureError) as err:
         build(

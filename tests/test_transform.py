@@ -1,10 +1,14 @@
 """Unfolding, leveling, compression, and separation elimination."""
 
+import re
+
 import pytest
 
 from impdag.assignment import ChoiceError, prov, search_choice
 from impdag.checker import LocalCorrectnessError, check_local_correctness
+from impdag.cli import main
 from impdag.deduction import Deduction, Overflow, Rule, build, canonical, is_tree_like, to_dict
+from impdag.deduction import save_deduction
 from impdag.formula import parse_infix, weight
 from impdag.transform import compress, level, s_eliminate, unfold
 
@@ -191,6 +195,17 @@ class TestCompress:
         want, _ = compress(build(nodes, 1))
         assert to_dict(dag) == to_dict(canonical(dag)) == to_dict(want)
         assert image == ((1, 2, 4), (1, 2, 3))
+
+    def test_rejects_separation_trees(self, tmp_path, capsys):
+        # Merging the branches of an S node would list one child twice.
+        tree = unfold(sep_proof_dag())
+        text = "compress() expects a separation-free tree; node 3 is an S node"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            compress(tree)
+        path = tmp_path / "tree.json"
+        save_deduction(tree, str(path))
+        assert main(["compress", str(path)]) == 2
+        assert capsys.readouterr() == ("", text + "\n")
 
     def test_rejects_locally_incorrect(self):
         t = build([mk(1, "a", "R", 0, (2,)), mk(2, "b", "LEAF", 1)], 1)

@@ -24,15 +24,19 @@ through ``formula_key`` or node ids. Build formulas only through these
 constructors. The table keeps every formula built for the life of the
 process, so code that only asks whether a formula is a given implication
 uses ``is_implication``, which builds nothing. Each formula is immutable
-and carries its weight and prefix rendering, computed once from its
-children when it is built; the infix rendering is computed on first use
-and kept. Parsing, rendering, ``repr`` and pickling are iterative, so
-deep formulas never hit the interpreter's recursion limit.
+and holds only its structure (a name, or two children), its weight and
+caches of its texts. One renderer spells out the prefix, infix and
+``repr`` texts on first use: it reuses the texts already kept on
+subformulas and keeps the prefix or infix text on the formula asked
+alone, so each rendering costs time and memory linear in its length.
+Parsing, rendering, ``repr`` and pickling (through the prefix text) are
+iterative, so deep formulas never hit the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 
 __all__ = [
     "Atom",
@@ -66,15 +70,16 @@ def _intern(cls: type, key: object, **fields: object) -> "Formula":
 class Atom:
     """A named atom; ``Atom(name)`` returns the one atom with that name."""
 
-    __slots__ = ("name", "weight", "prefix", "_infix")
+    __slots__ = ("name", "weight", "_prefix", "_infix")
     __setattr__ = __delattr__ = _frozen
+    prefix = property(attrgetter("name"))
 
     def __new__(cls, name: str) -> "Atom":
         if not isinstance(name, str):
             raise TypeError("an atom name is a string")
         f = _TABLE.get(name)
         if f is None:
-            f = _intern(cls, name, name=name, weight=1, prefix=name, _infix=name)
+            f = _intern(cls, name, name=name, weight=1, _prefix=name, _infix=name)
         return f
 
     def __repr__(self) -> str:
@@ -86,9 +91,10 @@ class Atom:
 
 class Implication:
     """``antecedent -> consequent``; the constructor returns the one
-    implication between those two formulas."""
+    implication between those two formulas. Its prefix and infix texts
+    are rendered on first use and kept."""
 
-    __slots__ = ("antecedent", "consequent", "weight", "prefix", "_infix")
+    __slots__ = ("antecedent", "consequent", "weight", "_prefix", "_infix")
     __setattr__ = __delattr__ = _frozen
 
     def __new__(cls, antecedent: "Formula", consequent: "Formula") -> "Implication":
@@ -103,57 +109,55 @@ class Implication:
                 antecedent=antecedent,
                 consequent=consequent,
                 weight=1 + antecedent.weight + consequent.weight,
-                prefix=f"> {antecedent.prefix} {consequent.prefix}",
+                _prefix=None,
                 _infix=None,
             )
         return f
 
+    @property
+    def prefix(self) -> str:
+        return self._prefix or _render(self, "_prefix")
+
     def __repr__(self) -> str:
-        parts: list[str] = []
-        stack: list[Formula | str] = [self]
-        while stack:
-            g = stack.pop()
-            if isinstance(g, str):
-                parts.append(g)
-            elif isinstance(g, Atom):
-                parts.append(repr(g))
-            else:
-                parts.append("Implication(antecedent=")
-                stack += (")", g.consequent, ", consequent=", g.antecedent)
-        return "".join(parts)
+        return _render(self, None)
 
     def __reduce__(self):
-        # Postfix atom names, None for an arrow: flat, so pickling or
-        # copying a deep formula does not recurse, and the copy is the
-        # interned object.
-        return _from_postfix, (_postfix(self),)
+        # Flat text, so pickling or copying a deep formula does not
+        # recurse, and the copy is the interned object.
+        return parse_prefix, (self.prefix,)
 
 
 Formula = Atom | Implication
 
 
-def _postfix(f: Formula) -> tuple[str | None, ...]:
-    out: list[str | None] = []
-    stack: list[Formula | None] = [f]
+def _render(f: Formula, slot: str | None) -> str:
+    """Spell out, without recursion, the text kept in ``slot`` (``"_prefix"``
+    or ``"_infix"``), or the ``repr`` for None. Texts kept on subformulas
+    are reused, and the result is kept on ``f`` alone: keeping every
+    subformula's text would cost memory quadratic in the depth."""
+    out: list[str] = []
+    stack: list[Formula | str] = [f]
     while stack:
         g = stack.pop()
-        if g is None or isinstance(g, Atom):
-            out.append(None if g is None else g.name)
+        if isinstance(g, str):
+            out.append(g)
+        elif slot is None:
+            if isinstance(g, Atom):
+                out.append(repr(g))
+            else:
+                stack += (")", g.consequent, ", consequent=", g.antecedent, "Implication(antecedent=")
+        elif (text := getattr(g, slot)) is not None:
+            out.append(text)
+        elif slot == "_prefix":
+            stack += (g.consequent, " ", g.antecedent, "> ")
+        elif isinstance(g.antecedent, Implication):
+            stack += (g.consequent, ") -> ", g.antecedent, "(")
         else:
-            stack += (None, g.consequent, g.antecedent)
-    return tuple(out)
-
-
-def _from_postfix(tokens: tuple[str | None, ...]) -> Formula:
-    stack: list[Formula] = []
-    for tok in tokens:
-        if tok is None:
-            consequent = stack.pop()
-            stack[-1] = Implication(stack[-1], consequent)
-        else:
-            stack.append(Atom(tok))
-    (f,) = stack
-    return f
+            stack += (g.consequent, " -> ", g.antecedent)
+    text = "".join(out)
+    if slot is not None:
+        object.__setattr__(f, slot, text)
+    return text
 
 
 class FormulaSyntaxError(ValueError):
@@ -169,22 +173,8 @@ class FormulaSyntaxError(ValueError):
 
 
 _ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_INFIX_TOKEN_RE = re.compile(r"->|\(|\)|[A-Za-z][A-Za-z0-9_]*")
-
-
-def _tokenize_infix(text: str) -> list[tuple[str, int]]:
-    tokens: list[tuple[str, int]] = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _INFIX_TOKEN_RE.match(text, i)
-        if m is None:
-            raise FormulaSyntaxError(f"unexpected character {text[i]!r}", i)
-        tokens.append((m.group(), i))
-        i = m.end()
-    return tokens
+# A token after optional white space, or the offending character.
+_INFIX_TOKEN_RE = re.compile(r"\s*(?:(->|\(|\)|[A-Za-z][A-Za-z0-9_]*)|(\S))")
 
 
 def parse_infix(text: str) -> Formula:
@@ -195,7 +185,12 @@ def parse_infix(text: str) -> Formula:
     last, ``None`` for each open parenthesis and the left operand of each
     arrow still waiting for its right side.
     """
-    tokens = _tokenize_infix(text)
+    tokens: list[tuple[str, int]] = []
+    for m in _INFIX_TOKEN_RE.finditer(text):
+        tok, bad = m.groups()
+        if bad is not None:
+            raise FormulaSyntaxError(f"unexpected character {bad!r}", m.start(2))
+        tokens.append((tok, m.start(1)))
     if not tokens:
         raise FormulaSyntaxError("empty input", 0)
     tokens.append(("", len(text)))  # end of input
@@ -235,6 +230,9 @@ def parse_prefix(text: str) -> Formula:
     operand and the left operand of each arrow waiting for its right one.
     Each distinct atom token is checked once per call, and an implication
     already in the table is looked up without calling its constructor.
+    The canonical text just read, its tokens joined by single spaces, is
+    kept as the result's prefix, so an unpickled formula is not rendered
+    again.
     """
     tokens = text.split()
     if not tokens:
@@ -260,32 +258,15 @@ def parse_prefix(text: str) -> Formula:
         raise FormulaSyntaxError("missing operand", len(tokens))
     if i + 1 != len(tokens):
         raise FormulaSyntaxError(f"unused token {tokens[i + 1]!r}", i + 1)
+    if value._prefix is None:
+        object.__setattr__(value, "_prefix", " ".join(tokens))
     return value
 
 
 def to_infix(f: Formula) -> str:
     """Render with minimal parentheses; only left arrow operands need them.
-
-    The text is kept on the formula, and renderings already kept on its
-    subformulas are reused.
-    """
-    text = f._infix
-    if text is None:
-        parts: list[str] = []
-        stack: list[Formula | str] = [f]
-        while stack:
-            g = stack.pop()
-            if isinstance(g, str):
-                parts.append(g)
-            elif g._infix is not None:
-                parts.append(g._infix)
-            elif isinstance(g.antecedent, Implication):
-                stack += (g.consequent, ") -> ", g.antecedent, "(")
-            else:
-                stack += (g.consequent, " -> ", g.antecedent)
-        text = "".join(parts)
-        object.__setattr__(f, "_infix", text)
-    return text
+    The text is kept on the formula."""
+    return f._infix or _render(f, "_infix")
 
 
 def weight(f: Formula) -> int:

@@ -11,7 +11,7 @@ import pytest
 
 import impdag
 from impdag.assignment import prov
-from impdag.checker import parse_tuples
+from impdag.checker import check_tuples, parse_tuples
 from impdag.cli import main
 from impdag.deduction import Rule, build, canonical, load_deduction, save_deduction
 from impdag.deduction import threads as dag_threads
@@ -30,6 +30,7 @@ from conftest import (
     sep_proof_dag,
     sep_stuck_dag,
 )
+from test_fst import shared_discharge_dag
 from test_prover import double_negations
 
 
@@ -372,6 +373,32 @@ class TestCleanse:
         assert code == 1
         assert "fundamental" in err
 
+    def test_search_mode_separation_root(self, tmp_path, capsys):
+        d = build(
+            [
+                mk(1, "a -> a", "S", 0, (2, 3)),
+                mk(2, "a -> a", "I", 1, (4,)),
+                mk(3, "a -> a", "I", 1, (5,)),
+                mk(4, "a", "LEAF", 2),
+                mk(5, "a", "LEAF", 2),
+            ],
+            1,
+        )
+        code, out, err = run(["cleanse", dag_file(tmp_path, d), "--search"], capsys)
+        assert (code, out) == (2, "")
+        assert "the root is a separation node; nothing discharges it" in err
+
+    def test_fst_mode_no_consistent_continuation(self, tmp_path, capsys):
+        d = shared_discharge_dag()
+        enumerated = dag_threads(d)
+        threads = tmp_path / "threads.json"
+        save_threads(ThreadSet((enumerated[0], enumerated[3])), str(threads))
+        code, out, err = run(
+            ["cleanse", dag_file(tmp_path, d), "--fst", str(threads)], capsys
+        )
+        assert (code, out) == (1, "")
+        assert "agrees with the branches already committed" in err
+
     def test_modes_are_exclusive(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["cleanse", dag_file(tmp_path, sep_proof_dag()), "--search", "--fst", "x"])
@@ -418,6 +445,18 @@ class TestEncodeDecode:
         table.write_text("this is not a tuple table\n")
         code, _, err = run(["decode", str(table)], capsys)
         assert code == 2
+
+    def test_decode_rejects_two_roots(self, tmp_path, capsys):
+        text = (
+            "2 3\n1\t> a a\n2\ta\n"
+            "1 2 0 0 1 1 I 1 2 0\n2 0 0 1 0 0 L 2 0 0\n3 2 0 0 1 1 I 1 2 0\n"
+        )
+        assert check_tuples(parse_tuples(text)).ok  # only decode sees the fault
+        table = tmp_path / "rows.txt"
+        table.write_text(text)
+        code, out, err = run(["decode", str(table)], capsys)
+        assert (code, out) == (2, "")
+        assert "bad tuple table: expected one height-0 row, found 2" in err
 
     def test_decode_rejects_violated_conditions(self, tmp_path, capsys):
         t = corrupt_encoding(random.Random(4), encode(diamond_dag()), 5)

@@ -1,14 +1,23 @@
 """The exit-code contract on hostile input: locally incorrect dags, files
-that are not UTF-8, and seeded mutations of every artifact kind.
+that are not UTF-8, seeded mutations of every artifact kind, and a long
+formula under a memory limit.
 
 Commands run in-process, so an uncaught exception fails the test instead
-of turning into a traceback and exit status 1.
+of turning into a traceback and exit status 1; only the memory-limited
+runs use child processes, so that the limit binds them alone.
 """
 
 import copy
 import io
+import json
 import random
+import subprocess
 import sys
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 import pytest
 
@@ -27,6 +36,7 @@ from conftest import (
     sep_proof_dag,
     sep_stuck_dag,
 )
+from test_cli import CHILD_ENV
 
 
 def run(argv, capsys):
@@ -176,6 +186,54 @@ def test_non_string_formula_is_malformed(tmp_path, capsys, formula):
             code, out, err = run(fill(argv, files), capsys)
             assert (code, out) == (2, ""), argv
             assert "node 2: formula must be a string" in err, argv
+
+
+# A right-nested formula of 40 000 atoms (200 KB of text), and a
+# two-node deduction, an R node over a leaf, that carries it.
+LONG_FORMULA = " -> ".join(["a"] * 40_000)
+
+
+def long_formula_dag_text():
+    doc = to_dict(build([mk(1, "a", "R", 0, (2,)), mk(2, "a", "LEAF", 1)], 1))
+    for entry in doc["nodes"]:
+        entry["formula"] = LONG_FORMULA
+    return json.dumps(doc)
+
+
+def limit_address_space():
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, hard))
+
+
+@pytest.mark.skipif(
+    getattr(resource, "RLIMIT_AS", None) is None, reason="no address-space limit here"
+)
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["oracle", "-"], 3, "formula weight 79999 exceeds bound"),
+        (["prove", "-"], 3, "search gave up: depth budget of 400 exceeded"),
+        (["check", "-"], 0, "locally correct"),
+        (["compress", "-"], 0, ""),
+        (["encode", "-"], 0, ""),
+    ],
+    ids=["oracle", "prove", "check", "compress", "encode"],
+)
+def test_long_formula_keeps_the_exit_contract_in_1_gib(argv, code, message):
+    # Only the child's address space is limited, to 1 GiB.
+    stdin = LONG_FORMULA if argv[0] in ("oracle", "prove") else long_formula_dag_text()
+    done = subprocess.run(
+        [sys.executable, "-m", "impdag", *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=CHILD_ENV,
+        preexec_fn=limit_address_space,
+    )
+    assert "Traceback" not in done.stderr
+    assert done.returncode == code, done.stderr
+    assert message in done.stderr
 
 
 # Seeded fuzzing of every command over mutated documents.

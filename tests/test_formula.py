@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import tracemalloc
 from dataclasses import make_dataclass
 
 import pytest
@@ -208,6 +209,21 @@ def test_deep_formulas_need_no_recursion():
     left = parse_infix("(" * 1000 + "a" + " -> a)" * 1000)
     assert weight(left) == 2001
     assert parse_infix(to_infix(left)) is left
+
+
+@pytest.mark.parametrize("atoms, name", [(10_000, "p"), (50_000, "q")])
+def test_deep_formulas_cost_linear_memory(atoms, name):
+    # A fresh atom per size, so no subformula is in the table already.
+    text = " -> ".join([name] * atoms)
+    tracemalloc.start()
+    try:
+        f = parse_infix(text)
+        assert to_infix(f) == text
+        assert pickle.loads(pickle.dumps(f)) is f
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * len(text)
 
 
 def test_is_implication_interns_nothing():

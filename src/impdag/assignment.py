@@ -42,7 +42,7 @@ from collections import deque
 from operator import attrgetter
 from typing import IO
 
-from .deduction import Deduction, FormatError, Node, Rule, _require_local_correctness
+from .deduction import Deduction, FormatError, Rule, _require_local_correctness
 from .deduction import canonical_map, read_json, write_json
 from .formula import Formula, formula_key
 
@@ -106,13 +106,8 @@ def _committed_branch(choice: Choice, key: tuple[int, int], count: int) -> int:
 
 
 def prov(d: Deduction) -> bool:
-    """Deterministic provability for separation-free dags: empty root value.
-    The verdict is kept on ``d``, so later calls on the same object are free."""
+    """Deterministic provability for separation-free dags: empty root value."""
     _require_local_correctness(d)
-    return d._memo("_proves", _proves)
-
-
-def _proves(d: Deduction) -> bool:
     _reject_separation(d)
     return not _Program(d).base[-1]
 
@@ -229,7 +224,9 @@ class _Program:
         self.branches: list[tuple[int, ...]] = []
         self.steps: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
         ids, vals, formulas, edges = self.ids, self.base, self.formulas, self.edges
-        for n in d._memo("_descending", _by_descending_height):
+        order = sorted(nodes.values(), key=attrgetter("id"))
+        order.sort(key=attrgetter("height"), reverse=True)  # stable: ids stay ascending
+        for n in order:
             rule = n.rule
             if rule is Rule.S:
                 continue
@@ -278,12 +275,6 @@ class _Program:
                 value |= vals[picks[e]]
             vals[slot] = value & ~drop
         return vals
-
-
-def _by_descending_height(d: Deduction) -> tuple[Node, ...]:
-    order = sorted(d.nodes.values(), key=attrgetter("id"))
-    order.sort(key=attrgetter("height"), reverse=True)  # stable: ids stay ascending
-    return tuple(order)
 
 
 def _reject_separation(d: Deduction) -> None:

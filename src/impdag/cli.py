@@ -113,18 +113,7 @@ def _print_violations(violations, stream) -> None:
 
 
 def _cmd_check(args) -> int:
-    d = _load_dag(args.dag)
-    if args.tuples:
-        from .checker import EncodingError, check_tuples, encode
-        try:
-            report = check_tuples(encode(d))
-        except EncodingError as exc:
-            _note(str(exc))
-            return NEGATIVE
-        except LocalCorrectnessError as exc:
-            report = exc.report
-    else:
-        report = check_local_correctness(d)
+    report = check_local_correctness(_load_dag(args.dag))
     _print_violations(report.violations, sys.stdout)
     if report.ok:
         _note("locally correct")
@@ -206,7 +195,7 @@ def _cmd_compress(args) -> int:
         from .fst import ThreadSet, save_threads
         _write(lambda t: save_threads(ThreadSet(image), t), args.threads_out, "image threads")
     _note(
-        f"{len(d.nodes)} tree node(s) down to {len(dag.nodes)};"
+        f"{len(d.nodes)} tree node(s) compressed to {len(dag.nodes)};"
         f" image keeps {len(image)} thread(s)"
     )
     return OK
@@ -375,8 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("check", _cmd_check, "Report local correctness violations.")
     p.add_argument("dag", help="deduction file, or - for stdin")
-    p.add_argument("--tuples", action="store_true",
-                   help="check the tuple encoding instead of the deduction itself")
 
     p = add("prov", _cmd_prov, "Decide whether a separation-free deduction proves.")
     p.add_argument("dag", help="deduction file, or - for stdin")

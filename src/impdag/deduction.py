@@ -224,13 +224,13 @@ class LocalCorrectnessError(ValueError):
 class Deduction(Record):
     """A node map and its root id; unhashable, as the map is a dict.
 
-    ``build`` puts the ``check_local_correctness`` report in a private slot;
-    ``parents``, ``assignment``'s node order and the ``prov`` verdict are
-    kept in others once computed. Equality, ``repr``, copies and pickles
-    ignore them all. The node map must not change once any is read.
+    ``build`` puts the ``check_local_correctness`` report in a private slot,
+    and ``parents`` is kept in another once computed. Equality, ``repr``,
+    copies and pickles ignore both. The node map must not change once
+    either is read.
     """
 
-    __slots__ = ("nodes", "root", "_parents", "_report", "_descending", "_proves")
+    __slots__ = ("nodes", "root", "_parents", "_report")
     nodes: dict[int, Node]
     root: int
 

@@ -24,9 +24,9 @@ A thread image that ``transform.compress`` returns for a dag without
 separation nodes, given with the very dag object it was built for, is
 decided by ``prov`` instead. It lists every thread of that dag, so it is
 dense and preserves eliminations, and ``prov`` holds exactly when each of
-those threads is closed; ``prov`` keeps its verdict on the dag, so both
-calls on one image decide it once. When ``prov`` fails, or the dag has
-separation nodes, the image is walked as any other collection is.
+those threads is closed; each call on the image runs ``prov`` once. When
+``prov`` fails, or the dag has separation nodes, the image is walked as
+any other collection is.
 """
 
 from __future__ import annotations
@@ -315,4 +315,4 @@ def load_threads(source: str | IO[str]) -> ThreadSet:
 
 def save_threads(collection: ThreadSet, target: str | IO[str]) -> None:
     """Write a thread collection in the format load_threads reads."""
-    write_json([list(th) for th in collection.threads], target)
+    write_json(collection.threads, target)

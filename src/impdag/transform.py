@@ -190,7 +190,7 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
             c, h = children[0], h + 1
 
     chains: dict[tuple[int, int], tuple[list[int], tuple[int, ...], int]] = {}
-    images: dict[Thread, None] = {}
+    images: list[Thread] = []
     path: list[int] = []
     stack = [(root, 0)]
     while stack:
@@ -204,7 +204,7 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
         if children:
             stack.extend((k, h + 1) for k in reversed(children))
         else:
-            images[tuple(path)] = None
+            images.append(tuple(path))
     image = _Image(images)
     image.dag = out
     return out, image

@@ -325,6 +325,13 @@ class TestDecode:
         with pytest.raises(DecodeError, match="code 9"):
             decode(t._replace(rows=(bad, t.rows[1])))
 
+    def test_unknown_rule_letter(self):
+        t = encode(identity_proof())
+        bad = t.rows[0]._replace(chi="Q")
+        with pytest.raises(DecodeError) as err:
+            decode(t._replace(rows=(bad, t.rows[1])))
+        assert str(err.value) == "row 1: unknown rule letter 'Q'"
+
     def test_two_roots(self):
         t = encode(identity_proof())
         extra = t.rows[0]._replace(x=3)

@@ -104,16 +104,6 @@ class TestCheck:
         assert "condition" in out
         assert "violation" in err
 
-    def test_tuple_route_agrees(self, tmp_path, capsys):
-        code, _, err = run(["check", "--tuples", dag_file(tmp_path, diamond_dag())], capsys)
-        assert code == 0
-        assert "locally correct" in err
-
-    def test_tuple_route_on_separation_dag(self, tmp_path, capsys):
-        code, _, err = run(["check", "--tuples", dag_file(tmp_path, sep_proof_dag())], capsys)
-        assert code == 1
-        assert "separation" in err
-
 
 class TestProv:
     def test_proving(self, tmp_path, capsys):
@@ -256,21 +246,22 @@ class TestProveOracle:
 
 class TestCompressUnfold:
     def test_compress_golden_tree(self, tmp_path, capsys):
+        # An R node over a leaf grows: the merge adds a dispatcher per level.
+        repeat = build([mk(1, "a", "R", 0, (2,)), mk(2, "a", "LEAF", 1)], 1)
         threads_out = tmp_path / "image.json"
-        code, out, err = run(
-            [
-                "compress",
-                dag_file(tmp_path, merge_pair_tree()),
-                "--threads-out",
-                str(threads_out),
-            ],
-            capsys,
-        )
-        assert code == 0
-        dag = parse_dag(out)
-        assert sum(1 for n in dag.nodes.values() if n.rule is Rule.S) == 1
-        assert len(load_threads(str(threads_out)).threads) == 3
-        assert "8 tree node(s) down to 12; image keeps 3 thread(s)" in err
+        for tree, separations, threads, note in (
+            (merge_pair_tree(), 1, 3, "8 tree node(s) compressed to 12; image keeps 3 thread(s)"),
+            (repeat, 0, 1, "2 tree node(s) compressed to 3; image keeps 1 thread(s)"),
+        ):
+            code, out, err = run(
+                ["compress", dag_file(tmp_path, tree), "--threads-out", str(threads_out)],
+                capsys,
+            )
+            assert code == 0
+            dag = parse_dag(out)
+            assert sum(1 for n in dag.nodes.values() if n.rule is Rule.S) == separations
+            assert len(load_threads(str(threads_out)).threads) == threads
+            assert note in err
 
     def test_compress_levels_automatically(self, tmp_path, capsys):
         ragged = build(

@@ -90,7 +90,6 @@ DECIDERS = (
 
 ALL_COMMANDS = (
     ["check", "{dag}"],
-    ["check", "--tuples", "{dag}"],
     *DECIDERS,
     ["unfold", "{dag}", "--cap", "2000"],
     ["compress", "{dag}"],

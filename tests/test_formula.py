@@ -177,6 +177,13 @@ def test_implication_rejects_a_non_formula_on_either_side(other):
         assert str(err.value) == "Implication needs two formulas"
 
 
+@pytest.mark.parametrize("name", [1, None, A], ids=repr)
+def test_atom_rejects_a_name_that_is_no_string(name):
+    with pytest.raises(TypeError) as err:
+        Atom(name)
+    assert str(err.value) == "an atom name is a string"
+
+
 def test_pickle_and_copy_return_the_interned_object():
     rng = random.Random(37)
     formulas = [random_formula(rng, max_weight=15) for _ in range(50)]

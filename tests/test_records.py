@@ -8,13 +8,9 @@ import pickle
 
 import pytest
 
-import impdag.assignment as assignment
-from impdag.assignment import evaluate, prov
 from impdag.deduction import Deduction, Node, Overflow, Rule
 from impdag.formula import parse_infix
-from impdag.fst import FstReport, ThreadSet, check_fst, cleanse_via_fst
-from impdag.prover import family, prove
-from impdag.transform import compress
+from impdag.fst import FstReport, ThreadSet
 
 from conftest import diamond_dag
 
@@ -96,51 +92,3 @@ def test_parents_are_computed_once_and_not_compared():
     assert parents == {
         i: tuple(sorted(n.id for n in d.nodes.values() if i in n.children)) for i in d.nodes
     }
-
-
-def _order_uses(d):
-    evaluate(d, {})
-    assert not prov(d)  # the R branch leaves leaf a open
-    assert [n.id for n in d._descending] == [4, 2, 3, 1]
-
-
-def _family_3_image():
-    dag, image = compress(prove(family(3)))
-    return dag, (ThreadSet(image),)
-
-
-def _image_uses(d, threads):
-    # On the image's own dag both fst calls ask prov; on a copy they walk
-    # the threads, and only cleansing asks prov, of the copy it returns.
-    assert check_fst(d, threads).is_fst
-    assert cleanse_via_fst(d, threads) == ({}, d)
-    assert prov(d)
-
-
-# Per memo: what computes it in ``assignment``, its slot, a dag with the
-# arguments of the calls, and the calls that read it.
-MEMOS = {
-    "node order": ("_by_descending_height", "_descending", lambda: (diamond_dag(), ()),
-                   _order_uses),
-    "prov verdict": ("_Program", "_proves", _family_3_image, _image_uses),
-}
-
-
-@pytest.mark.parametrize("name", list(MEMOS))
-def test_memos_are_computed_once_per_object_and_not_compared(name, monkeypatch):
-    compute, slot, make, uses = MEMOS[name]
-    (d, args), (fresh, _) = make(), make()
-    calls = []
-    real = getattr(assignment, compute)
-    monkeypatch.setattr(assignment, compute, lambda d: calls.append(d) or real(d))
-    uses(d, *args)
-    assert calls == [d]
-    kept = getattr(d, slot)
-    assert d == fresh and repr(d) == repr(fresh)
-    for clone in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
-        assert clone == d and repr(clone) == repr(d)
-        assert getattr(clone, slot, None) is None
-        uses(clone, *args)
-        assert calls[-1] is clone
-    assert len(calls) == 4
-    assert getattr(d, slot) is kept

@@ -87,14 +87,13 @@ def test_only_the_tuple_commands_load_the_encoding(tmp_path):
     ]
     for argv in without:
         assert "checker" not in loaded(*argv, stdin=proof)[0], argv
-    for argv, stdin in ((("check", "-", "--tuples"), proof), (("encode", "-"), proof),
-                        (("decode", "-"), table)):
+    for argv, stdin in ((("encode", "-"), proof), (("decode", "-"), table)):
         assert "checker" in loaded(*argv, stdin=stdin)[0], argv
 
 
 def test_only_the_tuple_handlers_import_the_encoding():
     """No module but ``cli`` imports ``checker``, and ``cli`` only in the
-    handlers of ``check``, ``encode`` and ``decode``."""
+    handlers of ``encode`` and ``decode``."""
     def imports_checker(node):
         if isinstance(node, ast.Import):
             return any(a.name == "impdag.checker" for a in node.names)
@@ -116,7 +115,7 @@ def test_only_the_tuple_handlers_import_the_encoding():
             (path.stem, scope.get(node, "<module>")) for node in ast.walk(tree)
             if imports_checker(node)
         }
-    assert importers == {("cli", "_cmd_check"), ("cli", "_cmd_encode"), ("cli", "_cmd_decode")}
+    assert importers == {("cli", "_cmd_encode"), ("cli", "_cmd_decode")}
 
 
 def code_objects(code):

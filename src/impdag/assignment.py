@@ -123,24 +123,23 @@ def prov1(d: Deduction) -> bool:
     """
     _require_local_correctness(d)
     _reject_separation(d)
-    leaf_formulas = {n.formula for n in d.nodes.values() if n.rule is Rule.LEAF}
+    LEAF = Rule.LEAF
+    leaf_formulas = {n.formula for n in d.nodes.values() if n.rule is LEAF}
     for phi in sorted(leaf_formulas, key=formula_key):
-        reached = _reach_without_discharge(d, phi)
-        for x in reached:
+        for x in _reach_without_discharge(d, phi):
             n = d.node(x)
-            if n.rule is Rule.LEAF and n.formula == phi:
+            if n.rule is LEAF and n.formula == phi:
                 return False
     return True
 
 
 def _reach_without_discharge(d: Deduction, phi: Formula) -> set[int]:
-    seen = {d.root}
-    queue = deque((d.root,))
+    seen, queue, I = {d.root}, deque((d.root,)), Rule.I  # noqa: E741
     while queue:
         n = d.node(queue.popleft())
+        if n.rule is I and n.formula.antecedent is phi:
+            continue
         for c in n.children:
-            if n.rule is Rule.I and n.formula.antecedent is phi:
-                continue
             if c not in seen:
                 seen.add(c)
                 queue.append(c)
@@ -226,13 +225,14 @@ class _Program:
         ids, vals, formulas, edges = self.ids, self.base, self.formulas, self.edges
         order = sorted(nodes.values(), key=attrgetter("id"))
         order.sort(key=attrgetter("height"), reverse=True)  # stable: ids stay ascending
+        LEAF, I, S = Rule.LEAF, Rule.I, Rule.S  # noqa: E741
         for n in order:
             rule = n.rule
-            if rule is Rule.S:
+            if rule is S:
                 continue
             ids.append(n.id)
             slot[n.id] = len(ids)
-            if rule is Rule.LEAF:
+            if rule is LEAF:
                 value = bits.get(n.formula)
                 if value is None:
                     value = bits[n.formula] = 1 << len(formulas)
@@ -245,7 +245,7 @@ class _Program:
             reads, edge_reads = [], []
             for c in n.children:
                 child = nodes[c]
-                if child.rule is not Rule.S:
+                if child.rule is not S:
                     r = slot[c]
                     reads.append(r)
                     value |= vals[r]
@@ -255,7 +255,7 @@ class _Program:
                 edges.append((n.id, c))
                 self.branches.append(tuple(slot[b] for b in child.children))
                 changes = True
-            if rule is Rule.I:
+            if rule is I:
                 # Leaves below come first, so an antecedent without a bit yet
                 # is no leaf formula of the child's value.
                 drop = bits.get(n.formula.antecedent, 0)

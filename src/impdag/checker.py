@@ -112,7 +112,8 @@ def encode(d: Deduction) -> TupleEncoding:
     is deterministic. The formula table lists every formula labelling a
     node, ordered by weight then prefix text, codes starting at 1.
     """
-    separations = [n.id for n in d.nodes.values() if n.rule is Rule.S]
+    E, S = Rule.E, Rule.S
+    separations = [n.id for n in d.nodes.values() if n.rule is S]
     if separations:
         raise EncodingError(f"node {min(separations)} is a separation node")
     _require_local_correctness(d)
@@ -127,7 +128,7 @@ def encode(d: Deduction) -> TupleEncoding:
     for i, (x, gamma) in ref.items():
         n = nodes[i]
         h, children = n.height, n.children
-        if n.rule is Rule.E:
+        if n.rule is E:
             y, z = children
             if not is_implication(nodes[z].formula, nodes[y].formula, n.formula):
                 children = (z, y)

@@ -13,9 +13,12 @@ height 0 and every child is exactly one level above its parent. Rule names:
 * ``S``     separation, two or more children that all repeat the node
             formula and are read disjunctively.
 
-A thread is a maximal root-to-leaf chain. A thread is closed when some I
-node on it discharges the formula of the thread's leaf; the dag proves its
-root formula when every thread is closed.
+A thread is a maximal root-to-leaf chain; it is closed when some I node on
+it discharges its leaf formula, and the dag proves its root formula when
+every thread is closed. ``threads`` and ``proves_by_threads`` decide their
+cap before listing anything, by counting threads bottom up in one pass over
+the nodes and edges; the thread decider then walks the threads once and
+stops at the first open one.
 
 Trees are numbered 1..n breadth first by ``lay_out`` as they are grown;
 an existing dag is renumbered the same way by ``canonical``.
@@ -49,7 +52,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from enum import Enum
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import IO, Callable, Iterable, Mapping, NamedTuple
 
 from .formula import Formula, FormulaSyntaxError, Implication, is_implication, parse_infix, to_infix
@@ -380,18 +383,34 @@ def _require_local_correctness(d: Deduction) -> None:
         raise LocalCorrectnessError(report)
 
 
+def _over_cap(d: Deduction, cap: int) -> bool:
+    """Whether ``d`` has more than ``cap`` threads, counted bottom up by height
+    (clause 1c puts children first); a node's count never exceeds the root's."""
+    check_local_correctness(d)
+    count: dict[int, int] = {}
+    for n in sorted(d.nodes.values(), key=attrgetter("height"), reverse=True):
+        k = 0
+        for c in n.children:
+            k += count[c]
+        count[n.id] = k = k or 1
+        if k > cap:
+            return True
+    return False
+
+
 def threads(d: Deduction, cap: int = DEFAULT_THREAD_CAP) -> list[Thread] | Overflow:
     """All maximal root-to-leaf chains, depth first with children in stored
     order. Returns Overflow instead of a list when more than ``cap`` threads
-    exist."""
+    exist, decided by a count over the nodes and edges before any is listed.
+    A node map that ``build`` rejects raises its StructureError."""
+    if _over_cap(d, cap):
+        return Overflow(cap)
     out: list[Thread] = []
     stack: list[tuple[int, Thread]] = [(d.root, (d.root,))]
     while stack:
         node_id, path = stack.pop()
         n = d.node(node_id)
         if not n.children:
-            if len(out) >= cap:
-                return Overflow(cap)
             out.append(path)
             continue
         for c in reversed(n.children):
@@ -401,21 +420,33 @@ def threads(d: Deduction, cap: int = DEFAULT_THREAD_CAP) -> list[Thread] | Overf
 
 def is_closed(d: Deduction, thread: Thread) -> bool:
     """True when some I node on the thread discharges the leaf formula; ``d`` is locally correct."""
-    leaf_formula = d.node(thread[-1]).formula
-    for node_id in thread[:-1]:
-        n = d.node(node_id)
-        if n.rule is Rule.I and n.formula.antecedent is leaf_formula:
-            return True
-    return False
+    leaf_formula, I = d.node(thread[-1]).formula, Rule.I  # noqa: E741
+    path = map(d.nodes.__getitem__, thread[:-1])
+    return any(n.rule is I and n.formula.antecedent is leaf_formula for n in path)
 
 
 def proves_by_threads(d: Deduction, cap: int = DEFAULT_THREAD_CAP) -> bool | Overflow:
-    """Whether every thread is closed; LocalCorrectnessError unless ``d`` is locally correct."""
+    """Whether every thread is closed, or Overflow past ``cap`` threads as in
+    ``threads``; LocalCorrectnessError unless ``d`` is locally correct. One
+    walk keeps what the I nodes on its path discharge, up to an open thread."""
     _require_local_correctness(d)
-    ts = threads(d, cap)
-    if isinstance(ts, Overflow):
-        return ts
-    return all(is_closed(d, t) for t in ts)
+    if _over_cap(d, cap):
+        return Overflow(cap)
+    nodes, I = d.nodes, Rule.I  # noqa: E741
+    walks, held = [iter((d.root,))], [None]  # per node on the path: children left, antecedent
+    while walks:
+        for c in walks[-1]:
+            n = nodes[c]
+            if n.children:
+                walks.append(iter(n.children))
+                held.append(n.formula.antecedent if n.rule is I else None)
+                break
+            if n.formula not in held:
+                return False
+        else:
+            walks.pop()
+            held.pop()
+    return True
 
 
 def is_tree_like(d: Deduction) -> bool:

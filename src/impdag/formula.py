@@ -177,50 +177,58 @@ _ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _INFIX_TOKEN_RE = re.compile(r"\s*(?:(->|\(|\)|[A-Za-z][A-Za-z0-9_]*)|(\S))")
 
 
+def _infix_tokens(text: str):
+    """Each token of ``text`` with its position."""
+    for m in _INFIX_TOKEN_RE.finditer(text):
+        if m[2] is not None:
+            raise FormulaSyntaxError(f"unexpected character {m[2]!r}", m.start(2))
+        yield m[1], m.start(1)
+
+
 def parse_infix(text: str) -> Formula:
     """Parse the infix syntax; the arrow associates to the right.
 
     The grammar is ``implication := unit ['->' implication]`` and
-    ``unit := atom | '(' implication ')'``. The stack holds, innermost
-    last, ``None`` for each open parenthesis and the left operand of each
-    arrow still waiting for its right side.
+    ``unit := atom | '(' implication ')'``. Tokens are read one at a time,
+    with one of lookahead; a character that starts no token is reported
+    before any grammar error. The stack holds, innermost last, ``None`` for
+    each open parenthesis and the left operand of each arrow still waiting
+    for its right side.
     """
-    tokens: list[tuple[str, int]] = []
-    for m in _INFIX_TOKEN_RE.finditer(text):
-        tok, bad = m.groups()
-        if bad is not None:
-            raise FormulaSyntaxError(f"unexpected character {bad!r}", m.start(2))
-        tokens.append((tok, m.start(1)))
-    if not tokens:
-        raise FormulaSyntaxError("empty input", 0)
-    tokens.append(("", len(text)))  # end of input
-    stack: list[Formula | None] = []
-    i = 0
-    while True:
-        tok, pos = tokens[i]
-        i += 1
-        if tok == "(":
-            stack.append(None)
-            continue
-        if tok in ("->", ")", ""):
-            message = f"unexpected {tok!r}" if tok else "unexpected end of input"
-            raise FormulaSyntaxError(message, pos)
-        value: Formula = Atom(tok)
-        # A unit is complete: start a right side, or close what it ends.
-        while tokens[i][0] != "->":
-            tok, pos = tokens[i]
-            while stack and stack[-1] is not None:
-                value = Implication(stack.pop(), value)
-            if not stack:
-                if tok:
-                    raise FormulaSyntaxError(f"unexpected {tok!r}", pos)
-                return value
-            if tok != ")":
-                raise FormulaSyntaxError("expected ')'", pos)
-            stack.pop()
-            i += 1
-        stack.append(value)
-        i += 1
+    tokens, end = _infix_tokens(text), ("", len(text))
+    try:
+        tok, pos = next(tokens, end)
+        if not tok:
+            raise FormulaSyntaxError("empty input", 0)
+        stack: list[Formula | None] = []
+        while True:
+            if tok == "(":
+                stack.append(None)
+                tok, pos = next(tokens, end)
+                continue
+            if tok in ("->", ")", ""):
+                message = f"unexpected {tok!r}" if tok else "unexpected end of input"
+                raise FormulaSyntaxError(message, pos)
+            value: Formula = Atom(tok)
+            # A unit is complete: start a right side, or close what it ends.
+            tok, pos = next(tokens, end)
+            while tok != "->":
+                while stack and stack[-1] is not None:
+                    value = Implication(stack.pop(), value)
+                if not stack:
+                    if tok:
+                        raise FormulaSyntaxError(f"unexpected {tok!r}", pos)
+                    return value
+                if tok != ")":
+                    raise FormulaSyntaxError("expected ')'", pos)
+                stack.pop()
+                tok, pos = next(tokens, end)
+            stack.append(value)
+            tok, pos = next(tokens, end)
+    except FormulaSyntaxError:
+        for _ in tokens:  # raises instead at a bad character further on
+            pass
+        raise
 
 
 def parse_prefix(text: str) -> Formula:

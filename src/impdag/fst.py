@@ -37,7 +37,7 @@ from typing import IO, Iterator
 
 from .assignment import Choice, prov
 from .deduction import Deduction, FormatError, Record, Rule, Thread, _require_local_correctness
-from .deduction import read_json, write_json
+from .deduction import read_json, write_text
 from .transform import s_eliminate
 
 __all__ = [
@@ -301,18 +301,26 @@ def load_threads(source: str | IO[str]) -> ThreadSet:
     if not isinstance(obj, list):
         raise FormatError("thread document must be a list")
     collected: dict[Thread, None] = {}
-    for i, entry in enumerate(obj):
-        if not isinstance(entry, list) or not entry:
-            raise FormatError(f"entry {i}: expected a non-empty list of node ids")
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in entry):
-            raise FormatError(f"entry {i}: node ids must be integers")
-        th = tuple(entry)
-        if th in collected:
-            raise FormatError(f"entry {i}: duplicate thread")
-        collected[th] = None
+    scanned = 0  # the entries whose ids the flat scan below covers
+    try:
+        for i, entry in enumerate(obj):
+            if not isinstance(entry, list) or not entry:
+                raise FormatError(f"entry {i}: expected a non-empty list of node ids")
+            scanned = i + 1
+            th = tuple(entry)
+            if th in collected:
+                raise FormatError(f"entry {i}: duplicate thread")
+            collected[th] = None
+    finally:  # one flat scan of the ids read, before a later entry's error
+        if not {type(v) for entry in islice(obj, scanned) for v in entry} <= {int}:
+            i = next(i for i, entry in enumerate(obj) if any(type(v) is not int for v in entry))
+            raise FormatError(f"entry {i}: node ids must be integers") from None
     return ThreadSet(tuple(collected))
 
 
 def save_threads(collection: ThreadSet, target: str | IO[str]) -> None:
-    """Write a thread collection in the format load_threads reads."""
-    write_json(collection.threads, target)
+    """Write the text of ``write_json(collection.threads, target)`` directly; ids are ints."""
+    listed = ",\n  ".join(
+        "[\n    " + ",\n    ".join(map(str, t)) + "\n  ]" if t else "[]" for t in collection.threads
+    )
+    write_text(f"[\n  {listed}\n]\n" if collection.threads else "[]\n", target)

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -13,7 +14,8 @@ import impdag
 from impdag.assignment import prov
 from impdag.checker import check_tuples, parse_tuples
 from impdag.cli import main
-from impdag.deduction import Rule, build, canonical, load_deduction, save_deduction
+from impdag.deduction import DEFAULT_THREAD_CAP, Rule, build, canonical, load_deduction
+from impdag.deduction import save_deduction
 from impdag.deduction import threads as dag_threads
 from impdag.formula import to_infix, weight
 from impdag.fst import ThreadSet, load_threads, save_threads
@@ -32,6 +34,7 @@ from conftest import (
 )
 from test_fst import shared_discharge_dag
 from test_prover import double_negations
+from test_threads_differential import diamond_chain
 
 
 def run(argv, capsys):
@@ -147,6 +150,33 @@ class TestProv:
     def test_environment_does_not_set_the_cap(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("IMPDAG_DEFAULT_CAP", "1")
         path = dag_file(tmp_path, diamond_dag())
+        code, out, _ = run(["prov", path, "--method", "threads"], capsys)
+        assert code == 1
+        assert out.strip() == "not proving"
+
+
+class TestProvByThreads:
+    """``prov --method threads``: the cap is decided before threads are listed."""
+
+    @pytest.mark.parametrize("cap", [1000, DEFAULT_THREAD_CAP])
+    def test_cap_hit_exits_3_with_the_note(self, tmp_path, capsys, cap):
+        path = dag_file(tmp_path, diamond_chain("E"), "chain.json")  # 2^40 threads
+        start = time.perf_counter()
+        code, out, err = run(["prov", path, "--method", "threads", "--cap", str(cap)], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert out == ""
+        assert err.strip() == f"more than {cap} threads; raise --cap"
+
+    def test_proving_dag_exits_0(self, tmp_path, capsys):
+        d = build([mk(1, "a -> b -> a", "I", 0, (2,)), mk(2, "b -> a", "I", 1, (3,)),
+                   mk(3, "a", "LEAF", 2)], 1)
+        code, out, _ = run(["prov", dag_file(tmp_path, d), "--method", "threads"], capsys)
+        assert code == 0
+        assert out.strip() == "proving"
+
+    def test_non_proving_dag_exits_1(self, tmp_path, capsys):
+        path = dag_file(tmp_path, diamond_chain("E", 3))
         code, out, _ = run(["prov", path, "--method", "threads"], capsys)
         assert code == 1
         assert out.strip() == "not proving"

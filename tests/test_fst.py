@@ -1,6 +1,7 @@
 """Fundamental thread sets: condition checks and cleansing."""
 
 import io
+import json
 
 import pytest
 
@@ -232,3 +233,30 @@ class TestThreadFiles:
     def test_malformed_documents(self, text):
         with pytest.raises(FormatError):
             load_threads(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "listed",
+        [(), ((1,),), ((1, 2, 4), (1, 3)), ((), (7,)), tuple(threads(sep_all_closed_dag()))],
+    )
+    def test_saved_text_is_the_indented_json(self, listed):
+        buffer = io.StringIO()
+        save_threads(ThreadSet(listed), buffer)
+        assert buffer.getvalue() == json.dumps(listed, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[[1, true], [1, 1]]", "entry 0: node ids must be integers"),
+            ("[[1, 1], [1, true]]", "entry 1: node ids must be integers"),
+            ("[[1], [1.0]]", "entry 1: node ids must be integers"),
+            ("[[1], [], [2.5]]", "entry 1: expected a non-empty list of node ids"),
+            ('[[1], [1, "x"], 3]', "entry 1: node ids must be integers"),
+            ("[[2.5], {}]", "entry 0: node ids must be integers"),
+            ('[[1], [1], ["x"]]', "entry 1: duplicate thread"),
+            ("[[1], [[2]]]", "entry 1: node ids must be integers"),
+        ],
+    )
+    def test_first_error_is_reported(self, text, message):
+        with pytest.raises(FormatError) as caught:
+            load_threads(io.StringIO(text))
+        assert str(caught.value) == message

@@ -278,11 +278,13 @@ class _Program:
 
 
 def _reject_separation(d: Deduction) -> None:
-    for n in d.nodes.values():
-        if n.rule is Rule.S:
-            raise SeparationPresentError(
-                f"node {n.id} is a separation node; use search_choice"
-            )
+    """Raise SeparationPresentError naming the least separation node id, if any."""
+    S = Rule.S
+    separations = [n.id for n in d.nodes.values() if n.rule is S]
+    if separations:
+        raise SeparationPresentError(
+            f"node {min(separations)} is a separation node; use search_choice"
+        )
 
 
 def load_choice(source: str | IO[str]) -> Choice:

@@ -313,7 +313,6 @@ def _cmd_fst_check(args) -> int:
 def _cmd_bench(args) -> int:
     from .prover import ResourceLimitError, family, prove
     from .transform import compress
-    cap = args.max
     print("n  weight  tree  leveled  dag  prove_s  compress_s")
     for n in range(1, args.family + 1):
         f = family(n)
@@ -328,9 +327,6 @@ def _cmd_bench(args) -> int:
         # compress pads by itself; level would add an R node per level a leaf sits above the bottom
         bottom = d.height()
         leveled = len(d.nodes) + sum(bottom - n.height for n in d.nodes.values() if not n.children)
-        if leveled > cap:
-            _note(f"family {n}: leveled tree has {leveled} nodes, over --max {cap}")
-            return LIMIT
         t2 = time.perf_counter()
         dag, _ = compress(d)
         t3 = time.perf_counter()
@@ -421,14 +417,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("bench", _cmd_bench, "Time proving and compression on a formula family.")
     p.add_argument("--family", type=int, required=True, metavar="N",
                    help="run family members 1 through N")
-    p.add_argument("--max", type=int, default=DEFAULT_NODE_CAP, metavar="M",
-                   help=f"stop when the leveled tree exceeds M nodes (default {DEFAULT_NODE_CAP})")
 
     return parser
 
 
 # Every integer option counts something, so each must be at least 1.
-_COUNTS = ("cap", "bound", "family", "max")
+_COUNTS = ("cap", "bound", "family")
 
 
 def main(argv: list[str] | None = None) -> int:

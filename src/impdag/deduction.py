@@ -44,7 +44,7 @@ raise LocalCorrectnessError on a violation.
 
 A deduction file holds the JSON document of ``to_dict``. ``save_deduction``
 writes its text directly, with one ``json.dumps`` per distinct formula;
-``from_dict`` checks each entry, and all child ids in one scan, before ``build``.
+``from_dict`` checks each entry, child ids included, as it reads it, before ``build``.
 """
 
 from __future__ import annotations
@@ -510,7 +510,7 @@ def to_dict(d: Deduction) -> dict:
             {
                 "id": n.id,
                 "formula": to_infix(n.formula),
-                "rule": n.rule.value,
+                "rule": n.rule._value_,
                 "height": n.height,
                 "children": list(n.children),
             }
@@ -537,35 +537,33 @@ def from_dict(obj: object) -> Deduction:
         raise FormatError("'nodes' must be a list")
     nodes: list[Node] = []
     parsed: dict[str, Formula] = {}  # each distinct formula text is parsed once
-    try:
-        for entry in obj["nodes"]:
-            if type(entry) is not dict:
-                raise FormatError("each node must be an object")
+    for entry in obj["nodes"]:
+        if type(entry) is not dict:
+            raise FormatError("each node must be an object")
+        try:
+            nid, text, rule, height, kids = _ENTRY(entry)
+        except KeyError:
+            raise FormatError(f"node entry missing {sorted(_FIELDS - entry.keys())}") from None
+        if type(nid) is not int:
+            raise FormatError("node id must be an integer")
+        if type(text) is not str:
+            raise FormatError(f"node {nid}: formula must be a string")
+        formula = parsed.get(text)
+        if formula is None:
             try:
-                nid, text, rule, height, kids = _ENTRY(entry)
-            except KeyError:
-                raise FormatError(f"node entry missing {sorted(_FIELDS - entry.keys())}") from None
-            if type(nid) is not int:
-                raise FormatError("node id must be an integer")
-            if type(text) is not str:
-                raise FormatError(f"node {nid}: formula must be a string")
-            formula = parsed.get(text)
-            if formula is None:
-                try:
-                    formula = parsed[text] = parse_infix(text)
-                except FormulaSyntaxError as exc:
-                    raise FormatError(f"node {nid}: bad formula: {exc}") from exc
-            if type(rule) is not str or rule not in _RULES:
-                raise FormatError(f"node {nid}: unknown rule {rule!r}")
-            if type(height) is not int:
-                raise FormatError(f"node {nid}: height must be an integer")
-            if type(kids) is not list:
+                formula = parsed[text] = parse_infix(text)
+            except FormulaSyntaxError as exc:
+                raise FormatError(f"node {nid}: bad formula: {exc}") from exc
+        if type(rule) is not str or rule not in _RULES:
+            raise FormatError(f"node {nid}: unknown rule {rule!r}")
+        if type(height) is not int:
+            raise FormatError(f"node {nid}: height must be an integer")
+        if type(kids) is not list:
+            raise FormatError(f"node {nid}: children must be a list of ids")
+        for c in kids:
+            if type(c) is not int:
                 raise FormatError(f"node {nid}: children must be a list of ids")
-            nodes.append(Node(nid, formula, _RULES[rule], height, tuple(kids)))
-    finally:  # one flat scan of the child ids read, before a later entry's error
-        if not {type(c) for n in nodes for c in n.children} <= {int}:
-            bad = next(n for n in nodes if any(type(c) is not int for c in n.children))
-            raise FormatError(f"node {bad.id}: children must be a list of ids") from None
+        nodes.append(Node(nid, formula, _RULES[rule], height, tuple(kids)))
     return build(nodes, obj["root"])
 
 
@@ -586,7 +584,7 @@ def save_deduction(d: Deduction, target: str | IO[str]) -> None:
         kids = f"[\n        {kids}\n      ]" if kids else "[]"
         entries.append(
             f'    {{\n      "id": {n.id},\n      "formula": {text},\n'
-            f'      "rule": "{n.rule.value}",\n      "height": {n.height},\n'
+            f'      "rule": "{n.rule._value_}",\n      "height": {n.height},\n'
             f'      "children": {kids}\n    }}'
         )
     body = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"

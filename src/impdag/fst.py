@@ -113,12 +113,13 @@ def _survey(
     # position, and the child's own table. A thread is closed when its leaf
     # formula is among the antecedents discharged along it.
     edges: dict[int, dict[int, tuple]] = {i: {} for i in nodes}
+    I, E = Rule.I, Rule.E  # noqa: E741
     for n in nodes.values():
-        discharged = n.formula.antecedent if n.rule is Rule.I else None
+        discharged = n.formula.antecedent if n.rule is I else None
         out = edges[n.id]
         for c in n.children:
             other = other_at = None
-            if n.rule is Rule.E:
+            if n.rule is E:
                 minor, major = n.children
                 other = major if minor == c else minor
                 other_at = position[other]
@@ -198,7 +199,8 @@ def _proven_image(d: Deduction, collection: ThreadSet) -> bool:
     """Whether ``collection`` is ``compress``'s image of an S-free ``d`` itself and ``prov(d)``."""
     if getattr(collection.threads, "dag", None) is not d:
         return False
-    return all(n.rule is not Rule.S for n in d.nodes.values()) and prov(d)
+    S = Rule.S
+    return all(n.rule is not S for n in d.nodes.values()) and prov(d)
 
 
 def check_fst(d: Deduction, collection: ThreadSet) -> FstReport:
@@ -296,25 +298,22 @@ def cleanse_via_fst(d: Deduction, collection: ThreadSet) -> tuple[Choice, Deduct
 
 
 def load_threads(source: str | IO[str]) -> ThreadSet:
-    """Read a thread collection: a JSON list of node-id lists."""
+    """Read a thread collection: a JSON list of distinct, non-empty node-id
+    lists. Each entry is checked as it is read; the first bad one is named."""
     obj = read_json(source)
     if not isinstance(obj, list):
         raise FormatError("thread document must be a list")
     collected: dict[Thread, None] = {}
-    scanned = 0  # the entries whose ids the flat scan below covers
-    try:
-        for i, entry in enumerate(obj):
-            if not isinstance(entry, list) or not entry:
-                raise FormatError(f"entry {i}: expected a non-empty list of node ids")
-            scanned = i + 1
-            th = tuple(entry)
-            if th in collected:
-                raise FormatError(f"entry {i}: duplicate thread")
-            collected[th] = None
-    finally:  # one flat scan of the ids read, before a later entry's error
-        if not {type(v) for entry in islice(obj, scanned) for v in entry} <= {int}:
-            i = next(i for i, entry in enumerate(obj) if any(type(v) is not int for v in entry))
-            raise FormatError(f"entry {i}: node ids must be integers") from None
+    for i, entry in enumerate(obj):
+        if not isinstance(entry, list) or not entry:
+            raise FormatError(f"entry {i}: expected a non-empty list of node ids")
+        for v in entry:
+            if type(v) is not int:
+                raise FormatError(f"entry {i}: node ids must be integers")
+        th = tuple(entry)
+        if th in collected:
+            raise FormatError(f"entry {i}: duplicate thread")
+        collected[th] = None
     return ThreadSet(tuple(collected))
 
 

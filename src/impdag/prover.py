@@ -163,7 +163,7 @@ def _expand(item: tuple[Tree, int, tuple | None]):
             tree, proof = children
             env = (formula, proof, env)
             continue
-        if rule is Rule.LEAF:
+        if not children:  # a leaf
             entry = env
             while entry is not None and entry[0] is not formula:
                 entry = entry[2]

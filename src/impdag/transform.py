@@ -70,14 +70,15 @@ def level(t: Deduction) -> Deduction:
     if not is_tree_like(t):
         raise ValueError("level() expects a tree-like deduction")
     bottom = max(n.height for n in t.nodes.values())
-    if all(n.height == bottom for n in t.nodes.values() if n.rule is Rule.LEAF):
+    LEAF, R = Rule.LEAF, Rule.R
+    if all(n.height == bottom for n in t.nodes.values() if n.rule is LEAF):
         return t
 
     def expand(item: tuple[int, int]):
         node_id, height = item
         n = t.node(node_id)
-        if n.rule is Rule.LEAF and height < bottom:
-            return n.formula, Rule.R, height, ((node_id, height + 1),)
+        if n.rule is LEAF and height < bottom:
+            return n.formula, R, height, ((node_id, height + 1),)
         return n.formula, n.rule, height, ((c, height + 1) for c in n.children)
 
     return lay_out((t.root, 0), expand)
@@ -121,8 +122,9 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
         key = (n.formula, n.rule, tuple(class_of[c] for c in n.children))
         class_of[n.id] = interned.setdefault(key, len(interned))
     shapes = list(interned)
-    if any(rule is Rule.S for _, rule, _ in shapes):
-        s = min(n.id for n in t.nodes.values() if n.rule is Rule.S)
+    LEAF, R, E, S = Rule.LEAF, Rule.R, Rule.E, Rule.S
+    if any(rule is S for _, rule, _ in shapes):
+        s = min(n.id for n in t.nodes.values() if n.rule is S)
         raise ValueError(f"compress() expects a separation-free tree; node {s} is an S node")
     bottom = t.height()
     root = class_of[t.root]
@@ -140,8 +142,8 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
         layer: dict[Formula, dict[tuple, list]] = {f: {} for f in merge}
         for c in met:
             formula, rule, children = shapes[c]
-            if rule is Rule.LEAF and h < bottom:
-                rule, children = Rule.R, (c,)
+            if rule is LEAF and h < bottom:
+                rule, children = R, (c,)
             # An I step's discharged antecedent is fixed by the formula.
             key = (rule, tuple(shapes[k][0] for k in children))
             layer[formula].setdefault(key, []).append((c, children))
@@ -150,19 +152,19 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
         for formula, first in merge.items():
             groups = layer[formula]
             ids = []
-            for key in sorted(groups, key=lambda k: (k[0].value, [*map(formula_key, k[1])])):
+            for key in sorted(groups, key=lambda k: (k[0]._value_, [*map(formula_key, k[1])])):
                 i = None
-                if key[0] is not Rule.LEAF:  # leaves, all on the bottom level, get no dispatcher
+                if key[0] is not LEAF:  # leaves, all on the bottom level, get no dispatcher
                     i, fresh = fresh, fresh + 1
                     ids.append(i)
                     dispatchers.append((i, formula, *key))
                 for c, children in groups[key]:
                     level[c] = (children, first, i)
-            rule = Rule.S if len(ids) > 1 else Rule.R if ids else Rule.LEAF
+            rule = S if len(ids) > 1 else R if ids else LEAF
             nodes.append(Node(first, formula, rule, 2 * h, tuple(ids)))
         below: dict[Formula, int] = {}
         for i, formula, rule, formulas in dispatchers:
-            if rule is Rule.E and is_implication(*formulas, formula):  # build's premise order
+            if rule is E and is_implication(*formulas, formula):  # build's premise order
                 formulas = formulas[::-1]
             children = tuple(below.setdefault(f, fresh + len(below)) for f in formulas)
             nodes.append(Node(i, formula, rule, 2 * h + 1, children))
@@ -231,8 +233,9 @@ def s_eliminate(d: Deduction, choice: dict[tuple[int, int], int]) -> Deduction:
     replacement: dict[tuple[int, int], int] = {}  # (parent, sep) -> copy id
     copies: list[Node] = []
     next_id = max(d.nodes) + 1
+    R, S = Rule.R, Rule.S
     for s in sorted(d.nodes.values(), key=lambda n: n.id):
-        if s.rule is not Rule.S:
+        if s.rule is not S:
             continue
         used: dict[int, list[int]] = {}
         for p in d.parents[s.id]:
@@ -246,7 +249,7 @@ def s_eliminate(d: Deduction, choice: dict[tuple[int, int], int]) -> Deduction:
                 copy_ids[index] = next_id
                 next_id += 1
             copies.append(
-                Node(copy_ids[index], s.formula, Rule.R, s.height, (s.children[index - 1],))
+                Node(copy_ids[index], s.formula, R, s.height, (s.children[index - 1],))
             )
         for index, parents in used.items():
             for p in parents:
@@ -254,7 +257,7 @@ def s_eliminate(d: Deduction, choice: dict[tuple[int, int], int]) -> Deduction:
 
     rewired: dict[int, Node] = {n.id: n for n in copies}
     for n in d.nodes.values():
-        if n.rule is Rule.S:
+        if n.rule is S:
             continue
         children = tuple(replacement.get((n.id, c), c) for c in n.children)
         rewired[n.id] = Node(n.id, n.formula, n.rule, n.height, children)

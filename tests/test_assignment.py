@@ -25,6 +25,7 @@ from conftest import (
     diamond_dag,
     merge_pair_tree,
     mk,
+    random_separation_dag,
     sep_all_closed_dag,
     sep_proof_dag,
     sep_stuck_dag,
@@ -198,6 +199,20 @@ class TestProv:
     def test_rejects_separation(self):
         with pytest.raises(SeparationPresentError, match="search_choice"):
             prov(sep_proof_dag())
+
+
+def test_separation_error_names_the_least_separation_node():
+    # Equal deductions give one text, whatever order their node maps keep.
+    dags = (found[0] for found in map(random_separation_dag, range(100)) if found)
+    d = next(d for d in dags if sum(n.rule is Rule.S for n in d.nodes.values()) >= 2)
+    copy = build(reversed(list(d.nodes.values())), d.root)
+    assert copy == d
+    least = min(n.id for n in d.nodes.values() if n.rule is Rule.S)
+    for decide in (prov, prov1):
+        for dag in (d, copy):
+            with pytest.raises(SeparationPresentError) as exc:
+                decide(dag)
+            assert str(exc.value) == f"node {least} is a separation node; use search_choice"
 
 
 class TestProv1:

@@ -542,12 +542,13 @@ class TestBench:
             assert row[:4] == [str(n), str(weight(family(n))), str(len(tree.nodes)),
                                str(len(level(tree).nodes))]
 
-    def test_max_guard(self, capsys):
-        code, _, err = run(["bench", "--family", "3", "--max", "100"], capsys)
-        assert code == 3
-        assert "--max" in err
+    def test_max_is_no_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--family", "2", "--max", "5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("args", [["--family", "0"], ["--family", "2", "--max", "0"]])
+    @pytest.mark.parametrize("args", [["--family", "0"]])
     def test_counts_below_one_are_malformed(self, args, capsys):
         code, out, err = run(["bench", *args], capsys)
         assert code == 2

@@ -317,8 +317,7 @@ SCHEMA_ERRORS = [
     (_document(children=[True]), "node 2: children must be a list of ids"),
     (_document(children=["2"]), "node 2: children must be a list of ids"),
     (_document(children=[3, 2.0]), "node 2: children must be a list of ids"),
-    # Child ids are checked in one scan after the entries; an entry's bad
-    # child ids still win over any later entry's error.
+    # An entry's bad child ids win over any later entry's error.
     (_document(nodes=[_BAD_IDS, _second(rule="Q")]), _FIRST_IDS),
     (_document(nodes=[_BAD_IDS, "x"]), _FIRST_IDS),
     (_document(nodes=[_BAD_IDS, _second(formula=...)]), _FIRST_IDS),

@@ -42,13 +42,13 @@ the rule clauses on the deduction it returns, which
 Every decider, ``compress`` and ``encode`` first read that report and
 raise LocalCorrectnessError on a violation.
 
-A deduction file holds the JSON document of ``to_dict``. ``save_deduction``
-writes its text directly, with one ``json.dumps`` per distinct formula;
-``from_dict`` checks each entry, child ids included, as it reads it, before ``build``.
+A deduction file holds the ``to_dict`` document; ``save_deduction`` writes its text
+directly, and ``load_deduction`` checks each entry and makes its node as it is decoded.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from collections import deque
 from enum import Enum
@@ -461,16 +461,19 @@ def lay_out(root: object, expand: Callable, cap: int | None = None) -> Deduction
     """The tree grown from ``root``, with ids 1..n breadth first and
     children in stored order. ``expand(item)`` gives the item's formula,
     rule, height and child items; every child item becomes a node of its
-    own. Returns Overflow(cap) when the tree would exceed ``cap`` nodes."""
-    items = [root]
-    nodes: list[Node] = []
-    for node_id, item in enumerate(items, 1):  # items grows as the walk goes
-        formula, rule, height, children = expand(item)
-        first = len(items) + 1
-        items.extend(children)
-        if cap is not None and len(items) > cap:
-            return Overflow(cap)
-        nodes.append(Node(node_id, formula, rule, height, tuple(range(first, len(items) + 1))))
+    own, and only one layer of items and the next are kept at a time.
+    Returns Overflow(cap) when the tree would exceed ``cap`` nodes."""
+    nodes, layer, end = [], [root], 2  # end: one past the last id given out
+    while layer:
+        below, fresh = [], end  # fresh: the next layer's first id
+        for node_id, item in enumerate(layer, len(nodes) + 1):
+            formula, rule, height, children = expand(item)
+            below += children
+            first, end = end, fresh + len(below)
+            if cap is not None and end > cap + 1:
+                return Overflow(cap)
+            nodes.append(Node(node_id, formula, rule, height, tuple(range(first, end))))
+        layer = below
     return build(nodes, 1)
 
 
@@ -524,9 +527,39 @@ _FIELDS = {"id", "formula", "rule", "height", "children"}
 _ENTRY = itemgetter("id", "formula", "rule", "height", "children")
 
 
+def _node(entry: object, parsed: dict[str, Formula]) -> Node:
+    """The node of one entry, or FormatError naming its first fault; ``parsed`` caches formulas."""
+    if type(entry) is not dict:
+        raise FormatError("each node must be an object")
+    try:
+        nid, text, rule, height, kids = _ENTRY(entry)
+    except KeyError:
+        raise FormatError(f"node entry missing {sorted(_FIELDS - entry.keys())}") from None
+    if type(nid) is not int:
+        raise FormatError("node id must be an integer")
+    if type(text) is not str:
+        raise FormatError(f"node {nid}: formula must be a string")
+    formula = parsed.get(text)
+    if formula is None:
+        try:
+            formula = parsed[text] = parse_infix(text)
+        except FormulaSyntaxError as exc:
+            raise FormatError(f"node {nid}: bad formula: {exc}") from exc
+    if type(rule) is not str or rule not in _RULES:
+        raise FormatError(f"node {nid}: unknown rule {rule!r}")
+    if type(height) is not int:
+        raise FormatError(f"node {nid}: height must be an integer")
+    if type(kids) is not list:
+        raise FormatError(f"node {nid}: children must be a list of ids")
+    for c in kids:
+        if type(c) is not int:
+            raise FormatError(f"node {nid}: children must be a list of ids")
+    return Node(nid, formula, _RULES[rule], height, tuple(kids))
+
+
 def from_dict(obj: object) -> Deduction:
-    """Build a deduction from the document form; node order in the document
-    is irrelevant, children order is significant."""
+    """Build a deduction from the document form; node order is irrelevant, children
+    order significant. ``Node`` entries pass; the first bad entry raises FormatError."""
     if not isinstance(obj, dict):
         raise FormatError("document must be an object")
     if "root" not in obj or "nodes" not in obj:
@@ -535,40 +568,25 @@ def from_dict(obj: object) -> Deduction:
         raise FormatError("'root' must be a node id")
     if not isinstance(obj["nodes"], list):
         raise FormatError("'nodes' must be a list")
-    nodes: list[Node] = []
     parsed: dict[str, Formula] = {}  # each distinct formula text is parsed once
-    for entry in obj["nodes"]:
-        if type(entry) is not dict:
-            raise FormatError("each node must be an object")
-        try:
-            nid, text, rule, height, kids = _ENTRY(entry)
-        except KeyError:
-            raise FormatError(f"node entry missing {sorted(_FIELDS - entry.keys())}") from None
-        if type(nid) is not int:
-            raise FormatError("node id must be an integer")
-        if type(text) is not str:
-            raise FormatError(f"node {nid}: formula must be a string")
-        formula = parsed.get(text)
-        if formula is None:
-            try:
-                formula = parsed[text] = parse_infix(text)
-            except FormulaSyntaxError as exc:
-                raise FormatError(f"node {nid}: bad formula: {exc}") from exc
-        if type(rule) is not str or rule not in _RULES:
-            raise FormatError(f"node {nid}: unknown rule {rule!r}")
-        if type(height) is not int:
-            raise FormatError(f"node {nid}: height must be an integer")
-        if type(kids) is not list:
-            raise FormatError(f"node {nid}: children must be a list of ids")
-        for c in kids:
-            if type(c) is not int:
-                raise FormatError(f"node {nid}: children must be a list of ids")
-        nodes.append(Node(nid, formula, _RULES[rule], height, tuple(kids)))
-    return build(nodes, obj["root"])
+    return build([e if type(e) is Node else _node(e, parsed) for e in obj["nodes"]], obj["root"])
 
 
 def load_deduction(source: str | IO[str]) -> Deduction:
-    return from_dict(read_json(source))
+    """Read a deduction file. Each well-formed entry becomes its ``Node`` as it
+    is decoded; other objects, and those with a ``"nodes"`` key, stay as they are."""
+    text, parsed = read_text(source), {}
+
+    def node_or_object(obj: dict) -> object:
+        try:
+            return obj if "nodes" in obj else _node(obj, parsed)
+        except FormatError:
+            return obj
+
+    try:
+        return from_dict(json.loads(text, object_hook=node_or_object))
+    except (ValueError, RecursionError):  # on any fault, read the plain document for its
+        return from_dict(read_json(io.StringIO(text)))  # error, which shows dicts, not Nodes
 
 
 def save_deduction(d: Deduction, target: str | IO[str]) -> None:

@@ -23,6 +23,8 @@ thread-set input the cleansing machinery expects.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .deduction import (
     DEFAULT_NODE_CAP,
     Deduction,
@@ -115,11 +117,11 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
         raise ValueError("compress() expects a tree-like deduction; 'unfold' produces one")
     _require_local_correctness(t)
 
-    # Hash-cons the tree bottom up: class id -> (formula, rule, child classes).
+    # Hash-cons bottom up, in node order per height: class id -> (formula, rule, child classes).
     class_of: dict[int, int] = {}
     interned: dict[tuple, int] = {}
-    for n in sorted(t.nodes.values(), key=lambda n: -n.height):
-        key = (n.formula, n.rule, tuple(class_of[c] for c in n.children))
+    for n in sorted(t.nodes.values(), key=attrgetter("height"), reverse=True):
+        key = (n.formula, n.rule, tuple(map(class_of.__getitem__, n.children)))
         class_of[n.id] = interned.setdefault(key, len(interned))
     shapes = list(interned)
     LEAF, R, E, S = Rule.LEAF, Rule.R, Rule.E, Rule.S

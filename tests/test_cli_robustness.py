@@ -37,6 +37,7 @@ from conftest import (
     sep_stuck_dag,
 )
 from test_cli import CHILD_ENV
+from test_reader_differential import EDGE_DOCUMENTS
 
 
 def run(argv, capsys):
@@ -185,6 +186,19 @@ def test_non_string_formula_is_malformed(tmp_path, capsys, formula):
             code, out, err = run(fill(argv, files), capsys)
             assert (code, out) == (2, ""), argv
             assert "node 2: formula must be a string" in err, argv
+
+
+@pytest.mark.parametrize(
+    "doc, expected", [case[1:] for case in EDGE_DOCUMENTS], ids=[case[0] for case in EDGE_DOCUMENTS]
+)
+def test_edge_documents_keep_their_check_result(tmp_path, capsys, doc, expected):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["check", str(path)], capsys)
+    if expected == "loaded":
+        assert (code, out, err) == (0, "", "locally correct\n")
+    else:
+        assert (code, out, err) == (2, "", f"bad deduction in {path}: {expected}\n")
 
 
 # A right-nested formula of 40 000 atoms (200 KB of text), and a

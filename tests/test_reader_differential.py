@@ -7,7 +7,9 @@ one (the ``to_dict`` form of a small random dag, or a list of distinct
 threads) and gets a bad id in its first, a middle or its last entry, other
 errors before or after that entry, both, or neither. Both versions must
 raise the same exception type with the same text, naming the same entry,
-or return the same value.
+or return the same value. ``load_deduction``, which turns entries into
+nodes while decoding, reads the JSON text of every seeded deduction
+document and of hand-made edge documents against the same reference.
 """
 
 import io
@@ -15,6 +17,8 @@ import json
 import random
 from collections import Counter
 from itertools import islice
+
+import pytest
 
 from impdag.deduction import (
     _ENTRY,
@@ -26,6 +30,7 @@ from impdag.deduction import (
     Thread,
     build,
     from_dict,
+    load_deduction,
     read_json,
     to_dict,
 )
@@ -248,3 +253,72 @@ def test_load_threads_matches_the_rescanning_reader():
         seen[expected[0]] += 1
     assert set(seen) == {"loaded", FormatError.__name__}, seen
     assert min(seen.values()) >= 100, seen
+
+
+def reference_load(text):
+    return reference_from_dict(read_json(io.StringIO(text)))
+
+
+def compare_loads(text):
+    """The outcome of both readers on ``text``, which must agree."""
+    expected, got = outcome(reference_load, text), outcome(load_deduction, io.StringIO(text))
+    if expected[0] == "loaded":
+        assert got[0] == "loaded", (text, got)
+        assert to_dict(got[1]) == to_dict(expected[1]), text
+    else:
+        assert got == expected, text
+    return expected
+
+
+def test_load_deduction_matches_the_rescanning_reader():
+    seen = Counter()
+    for doc in dag_documents(random.Random(2719)):
+        seen[compare_loads(json.dumps(doc))[0]] += 1
+    assert set(seen) == {"loaded", FormatError.__name__, StructureError.__name__}, seen
+    assert min(seen.values()) >= 10, seen
+
+
+# A well-formed node entry, which the decoder turns into a node wherever it
+# sits, and a valid two-node document to put it in.
+NODE = {"id": 1, "formula": "a", "rule": "LEAF", "height": 0, "children": []}
+
+
+def edited(at, **fields):
+    doc = {"root": 1, "nodes": [
+        {"id": 1, "formula": "a -> a", "rule": "I", "height": 0, "children": [2]},
+        {"id": 2, "formula": "a", "rule": "LEAF", "height": 1, "children": []},
+    ]}
+    if at is not None:
+        doc["nodes"][at] = dict(doc["nodes"][at], **fields)
+    return doc
+
+
+# (name, document, "loaded" or the FormatError text)
+EDGE_DOCUMENTS = [
+    ("node-in-formula", edited(0, formula=NODE), "node 1: formula must be a string"),
+    ("node-in-children", edited(0, children=[2, NODE]), "node 1: children must be a list of ids"),
+    ("node-in-root", dict(edited(None), root=NODE), "'root' must be a node id"),
+    ("node-in-rule", edited(1, rule=NODE), f"node 2: unknown rule {NODE!r}"),
+    ("node-in-id", edited(1, id=NODE), "node id must be an integer"),
+    ("node-in-height", edited(0, height=NODE), "node 1: height must be an integer"),
+    ("node-as-nodes", {"root": 1, "nodes": NODE}, "'nodes' must be a list"),
+    ("node-shaped-document", NODE, "document needs 'root' and 'nodes'"),
+    ("node-shaped-document-with-root", dict(NODE, root=1), "document needs 'root' and 'nodes'"),
+    ("document-with-entry-keys", dict(edited(None), **NODE), "loaded"),
+    ("entry-with-nodes-key", edited(1, nodes=[NODE]), "loaded"),
+    ("bad-formula", edited(1, formula="a ->"),
+     "node 2: bad formula: unexpected end of input (position 4)"),
+    ("true-id", edited(1, id=True), "node id must be an integer"),
+    ("float-child", edited(0, children=[2.0]), "node 1: children must be a list of ids"),
+    ("bad-entry-first", {"root": 1, "nodes": [dict(NODE, id=3, rule="X")] + edited(None)["nodes"]},
+     "node 3: unknown rule 'X'"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, expected", [case[1:] for case in EDGE_DOCUMENTS], ids=[case[0] for case in EDGE_DOCUMENTS]
+)
+def test_load_deduction_edge_documents(doc, expected):
+    kind, value = compare_loads(json.dumps(doc))
+    assert (kind if kind == "loaded" else value) == expected
+    assert kind in ("loaded", FormatError.__name__)

@@ -27,7 +27,9 @@ Local correctness is the node-local definition below, each clause named
 by a short id. ``build`` checks it in its one pass over the nodes: it
 enforces clauses 1a to 1c, raising StructureError, and keeps the report of
 the rule clauses on the deduction it returns, which
-``check_local_correctness`` reads without another walk:
+``check_local_correctness`` reads without another walk. It decides that
+every node is reachable from the root by counting child ids (see ``build``),
+and searches from the root only to name the nodes that are not:
 
 * ``1a``  edge endpoints (leaves have no children, the root no parent);
 * ``1b``  root height is 0;
@@ -52,6 +54,7 @@ import io
 import json
 from collections import deque
 from enum import Enum
+from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import IO, Callable, Iterable, Mapping, NamedTuple
 
@@ -273,7 +276,11 @@ def build(nodes: Iterable[Node], root: int) -> Deduction:
     root and reachability, and raises StructureError listing every violated
     invariant by node id; the rule clauses 2a to 2d and 3 are reported. E children are
     normalized to minor-first, major-second order when the formulas
-    determine an orientation.
+    determine an orientation. Reachability is decided by counting: heights
+    rise by one along every edge, so when nothing else is violated and every
+    node but the root is some node's child, each node's parents lead up to
+    the root. Only otherwise does a search from the root name the nodes it
+    does not reach.
     """
     node_map: dict[int, Node] = {}
     bad: list[tuple[int | None, str]] = []
@@ -284,76 +291,84 @@ def build(nodes: Iterable[Node], root: int) -> Deduction:
     if bad:
         raise StructureError(bad)
 
-    # One pass over the nodes; children that do not exist are reported on
-    # their own, before the other violations.
+    # Every child id, gathered at C speed; children that do not exist are
+    # reported on their own, before the other violations.
+    kids = set(chain.from_iterable(map(attrgetter("children"), node_map.values())))
+    if not node_map.keys() >= kids:
+        raise StructureError([
+            (n.id, f"child {c} does not exist")
+            for n in node_map.values() for c in n.children if c not in node_map
+        ])
+
+    # One pass over the nodes. The rule clauses count only when no violation
+    # is raised, so a node of the wrong arity needs no clause test.
     arity = {Rule.LEAF: 0, Rule.R: 1, Rule.I: 1, Rule.E: 2}
-    missing: list[tuple[int | None, str]] = []
     violations: list[tuple[int | None, str]] = []
     report: list[Violation] = []
 
     def flag(condition: str, node: int, message: str) -> None:
         report.append(Violation(condition, node, message))
 
-    root_parented = False
-    R, I, E, S = Rule.R, Rule.I, Rule.E, Rule.S  # noqa: E741
+    R, I, S = Rule.R, Rule.I, Rule.S  # noqa: E741
     for n in node_map.values():
-        rule, formula, k = n.rule, n.formula, len(n.children)
+        rule, formula, children = n.rule, n.formula, n.children
+        k = len(children)
         if rule is S:
             if k < 2:
                 violations.append((n.id, f"S rule needs at least 2 children, got {k}"))
-            elif len(set(n.children)) < k:
+            elif len(set(children)) < k:
                 violations.append((n.id, "S rule needs distinct children"))
+            for c in children:
+                if node_map[c].formula is not formula:
+                    flag("2d", n.id, f"separation child {c} changes the formula")
+                if node_map[c].rule is S:
+                    flag("2d", n.id, f"separation child {c} is itself a separation")
         elif k != arity[rule]:
             violations.append((n.id, f"{rule.value} rule needs {arity[rule]} children, got {k}"))
-        if rule is E and k == 2:
-            y, z = map(node_map.get, n.children)
-            if n.children[0] == n.children[1]:
-                violations.append((n.id, "E rule needs two distinct children"))
+        elif not k:
+            continue  # a leaf
+        elif rule is R:
+            if node_map[children[0]].formula is not formula:
+                flag("2a", n.id, "repetition child formula differs")
+        elif rule is I:
+            if not (
+                isinstance(formula, Implication)
+                and formula.consequent is node_map[children[0]].formula
+            ):
+                flag("2b", n.id, "conclusion does not introduce onto the child formula")
+        elif children[0] == children[1]:
+            violations.append((n.id, "E rule needs two distinct children"))
+        else:
             # store minor premise first when exactly the swapped order types;
             # replacing the value of a key leaves the iteration intact
-            elif y and z and not is_implication(z.formula, y.formula, formula):
-                if is_implication(y.formula, z.formula, formula):
-                    n = node_map[n.id] = Node(n.id, formula, rule, n.height, (z.id, y.id))
+            y, z = node_map[children[0]].formula, node_map[children[1]].formula
+            if not is_implication(z, y, formula):
+                if is_implication(y, z, formula):
+                    children = children[::-1]
+                    node_map[n.id] = Node(n.id, formula, rule, n.height, children)
                 else:
                     flag("2c", n.id, "no premise is the other premise arrow the conclusion")
         up = n.height + 1
-        for c in n.children:
-            ch = node_map.get(c)
-            if ch is None:
-                missing.append((n.id, f"child {c} does not exist"))
-                continue
-            if ch.height != up:
-                violations.append((n.id, f"child {c} height {ch.height} is not parent height + 1"))
-            if rule is R:
-                if ch.formula is not formula:
-                    flag("2a", n.id, "repetition child formula differs")
-            elif rule is I:
-                if not (isinstance(formula, Implication) and formula.consequent is ch.formula):
-                    flag("2b", n.id, "conclusion does not introduce onto the child formula")
-            elif rule is S:
-                if ch.formula is not formula:
-                    flag("2d", n.id, f"separation child {c} changes the formula")
-                if ch.rule is S:
-                    flag("2d", n.id, f"separation child {c} is itself a separation")
-        root_parented = root_parented or root in n.children
-    if missing:
-        raise StructureError(missing)
+        for c in children:
+            height = node_map[c].height
+            if height != up:
+                violations.append((n.id, f"child {c} height {height} is not parent height + 1"))
 
     if root not in node_map:
         violations.append((None, f"root {root} does not exist"))
     else:
         if node_map[root].height != 0:
             violations.append((root, "root height is not 0"))
-        if root_parented:
+        if root in kids:
             violations.append((root, "root has a parent"))
-        seen = {root}
-        queue = [root]
-        while queue:
-            for c in node_map[queue.pop()].children:
-                if c not in seen:
-                    seen.add(c)
-                    queue.append(c)
-        if len(seen) < len(node_map):
+        if violations or len(kids) < len(node_map) - 1:
+            seen = {root}
+            queue = [root]
+            while queue:
+                for c in node_map[queue.pop()].children:
+                    if c not in seen:
+                        seen.add(c)
+                        queue.append(c)
             violations += ((i, "unreachable from root") for i in sorted(node_map.keys() - seen))
 
     if violations:
@@ -459,21 +474,22 @@ def is_tree_like(d: Deduction) -> bool:
 
 def lay_out(root: object, expand: Callable, cap: int | None = None) -> Deduction | Overflow:
     """The tree grown from ``root``, with ids 1..n breadth first and
-    children in stored order. ``expand(item)`` gives the item's formula,
-    rule, height and child items; every child item becomes a node of its
-    own, and only one layer of items and the next are kept at a time.
+    children in stored order. ``expand(item, depth)``, with ``depth`` the
+    item's layer (0 for ``root``), gives the item's formula, rule, height
+    and an iterable of its child items; every child item becomes a node of
+    its own, and only one layer of items and the next are kept at a time.
     Returns Overflow(cap) when the tree would exceed ``cap`` nodes."""
-    nodes, layer, end = [], [root], 2  # end: one past the last id given out
+    nodes, layer, end, depth = [], [root], 2, 0  # end: one past the last id given out
     while layer:
         below, fresh = [], end  # fresh: the next layer's first id
         for node_id, item in enumerate(layer, len(nodes) + 1):
-            formula, rule, height, children = expand(item)
+            formula, rule, height, children = expand(item, depth)
             below += children
             first, end = end, fresh + len(below)
             if cap is not None and end > cap + 1:
                 return Overflow(cap)
             nodes.append(Node(node_id, formula, rule, height, tuple(range(first, end))))
-        layer = below
+        layer, depth = below, depth + 1
     return build(nodes, 1)
 
 
@@ -591,20 +607,23 @@ def load_deduction(source: str | IO[str]) -> Deduction:
 
 def save_deduction(d: Deduction, target: str | IO[str]) -> None:
     """Write the text of ``write_json(to_dict(d), target)`` without building the document."""
-    quoted: dict[Formula, str] = {}  # one JSON string per distinct formula
+    # One %-template per (formula, rule, child count): the lines from
+    # "formula" to "height" are rendered once per pair, not once per node.
+    forms: dict[tuple[Formula, Rule, int], str] = {}
     entries = []
     for i in sorted(d.nodes):
         n = d.nodes[i]
-        text = quoted.get(n.formula)
-        if text is None:
-            text = quoted[n.formula] = json.dumps(to_infix(n.formula))
-        kids = ",\n        ".join(map(str, n.children))
-        kids = f"[\n        {kids}\n      ]" if kids else "[]"
-        entries.append(
-            f'    {{\n      "id": {n.id},\n      "formula": {text},\n'
-            f'      "rule": "{n.rule._value_}",\n      "height": {n.height},\n'
-            f'      "children": {kids}\n    }}'
-        )
+        key = n.formula, n.rule, len(n.children)
+        form = forms.get(key)
+        if form is None:
+            text = json.dumps(to_infix(n.formula)).replace("%", "%%")
+            kids = ",\n        ".join(["%s"] * key[2])
+            form = forms[key] = (
+                f'    {{\n      "id": %s,\n      "formula": {text},\n'
+                f'      "rule": "{n.rule._value_}",\n      "height": %s,\n      "children": '
+                + (f"[\n        {kids}\n      ]\n    }}" if kids else "[]\n    }")
+            )
+        entries.append(form % (n.id, n.height, *n.children))
     body = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
     write_text(f'{{\n  "root": {d.root},\n  "nodes": {body}\n}}\n', target)
 

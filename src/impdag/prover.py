@@ -152,11 +152,11 @@ def _settle(f: Formula) -> Tree | None:
                     return proof
 
 
-def _expand(item: tuple[Tree, int, tuple | None]):
-    """Lay-out step for (tree, height, env): ``env`` holds the pending
+def _expand(item: tuple[Tree, tuple | None], depth: int):
+    """Lay-out step for (tree, env): ``env`` holds the pending
     substitutions as (hypothesis, proof, outer env) links, innermost first,
     and a proof put for a leaf is laid out under its link's outer env."""
-    tree, height, env = item
+    tree, env = item
     while True:
         formula, rule, children = tree
         if rule is _SUB:
@@ -170,7 +170,7 @@ def _expand(item: tuple[Tree, int, tuple | None]):
             if entry is not None:
                 _, tree, env = entry
                 continue
-        return formula, rule, height, ((c, height + 1, env) for c in children)
+        return formula, rule, depth, [(c, env) for c in children]
 
 
 def prove(f: Formula) -> Deduction | None:
@@ -187,7 +187,7 @@ def prove(f: Formula) -> Deduction | None:
     proof = _settle(f)
     if proof is None:
         return None
-    d = lay_out((proof, 0, None), _expand, DEFAULT_MAX_NODES)
+    d = lay_out((proof, None), _expand, DEFAULT_MAX_NODES)
     if isinstance(d, Overflow):
         raise ResourceLimitError("nodes", DEFAULT_MAX_NODES)
     root = d.node(d.root)

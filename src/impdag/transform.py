@@ -58,7 +58,7 @@ def unfold(d: Deduction, cap: int = DEFAULT_NODE_CAP) -> Deduction | Overflow:
     would exceed `cap`.
     """
 
-    def expand(old_id: int):
+    def expand(old_id: int, depth: int):  # the old height, for build to check
         old = d.node(old_id)
         return old.formula, old.rule, old.height, old.children
 
@@ -76,14 +76,13 @@ def level(t: Deduction) -> Deduction:
     if all(n.height == bottom for n in t.nodes.values() if n.rule is LEAF):
         return t
 
-    def expand(item: tuple[int, int]):
-        node_id, height = item
-        n = t.node(node_id)
-        if n.rule is LEAF and height < bottom:
-            return n.formula, R, height, ((node_id, height + 1),)
-        return n.formula, n.rule, height, ((c, height + 1) for c in n.children)
+    def expand(node_id: int, depth: int):
+        n = t.nodes[node_id]
+        if n.rule is LEAF and depth < bottom:
+            return n.formula, R, depth, (node_id,)
+        return n.formula, n.rule, depth, n.children
 
-    return lay_out((t.root, 0), expand)
+    return lay_out(t.root, expand)
 
 
 class _Image(tuple):

@@ -27,7 +27,7 @@ import pytest
 from impdag.assignment import search_choice
 from impdag.checker import encode, render_tuples
 from impdag.deduction import Node, Rule, build, renumber, save_deduction, to_dict
-from impdag.formula import parse_infix
+from impdag.formula import Atom, parse_infix
 from impdag.fst import ThreadSet, save_threads
 from impdag.gen import enumerate_formulas
 from impdag.prover import family, prove
@@ -129,7 +129,9 @@ def _separation_dags(count):
 
 def test_writer_text_is_the_indented_document():
     one_node = build([Node(7, parse_infix("a"), Rule.LEAF, 0)], 7)
-    for index, d in enumerate([one_node, *_separation_dags(30)]):
+    # an atom made in the library can hold what the writer must escape
+    odd_atom = build([Node(7, Atom('a%s"%d\\'), Rule.LEAF, 0)], 7)
+    for index, d in enumerate([one_node, odd_atom, *_separation_dags(30)]):
         buffer = io.StringIO()
         save_deduction(d, buffer)
         assert buffer.getvalue() == json.dumps(to_dict(d), indent=2) + "\n", index

@@ -115,6 +115,7 @@ def test_build_matches_the_four_walk_version():
                 dags.append(described(corrupt_encoding(rng, encode(d), condition)))
             except ValueError:
                 pass  # no row the strategy applies to
+    dags += COUNTED
     kinds = Counter()
     for d in dags:
         nodes = list(d.nodes.values())
@@ -131,6 +132,28 @@ def test_build_matches_the_four_walk_version():
             else:
                 kinds["built"] += 1
     assert kinds.keys() == {"built", *KINDS}, kinds
+    # node lists given as generators, without and with a duplicate id
+    for d in COUNTED:
+        for nodes in ([*d.nodes.values()], [*d.nodes.values(), d.nodes[d.root]]):
+            want = outcome(reference_build, (n for n in nodes), d.root)
+            assert outcome(build, (n for n in nodes), d.root) == want
+
+
+# Maps that reachability by counting child ids must leave to the search.
+COUNTED = [
+    # a two-node cycle off the root, each node with a parent, one height wrong
+    raw([
+        mk(1, "a", "R", 0, (2,)), mk(2, "a", "LEAF", 1),
+        mk(3, "b", "R", 5, (4,)), mk(4, "b", "R", 6, (3,)),
+    ], 1),
+    # an unreachable chain with no parent and correct heights
+    raw([
+        mk(1, "a", "R", 0, (2,)), mk(2, "a", "LEAF", 1),
+        mk(3, "b", "R", 0, (4,)), mk(4, "b", "LEAF", 1),
+    ], 1),
+    # the root listed as a child, from a node one level above it
+    raw([mk(1, "a", "R", 0, (2,)), mk(2, "a", "LEAF", 1), mk(3, "a", "R", -1, (1,))], 1),
+]
 
 
 # E nodes that build rejects, stores as given, and turns round.

@@ -157,7 +157,7 @@ def _translate(step):
     return _replace(_translate(step.premises[1]), b, bridge)
 
 
-def _expand(item):
+def _expand(item, depth):
     tree, height = item
     return tree.formula, tree.rule, height, ((c, height + 1) for c in tree.children)
 

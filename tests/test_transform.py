@@ -7,7 +7,8 @@ import pytest
 from impdag.assignment import ChoiceError, prov, search_choice
 from impdag.checker import LocalCorrectnessError, check_local_correctness
 from impdag.cli import main
-from impdag.deduction import Deduction, Overflow, Rule, build, canonical, is_tree_like, to_dict
+from impdag.deduction import Deduction, Overflow, Rule, StructureError, build, canonical
+from impdag.deduction import is_tree_like, to_dict
 from impdag.deduction import save_deduction
 from impdag.formula import parse_infix, weight
 from impdag.transform import compress, level, s_eliminate, unfold
@@ -85,6 +86,19 @@ class TestUnfold:
         for d in (identity_proof(), diamond_dag(), merge_pair_tree()):
             t = unfold(d)
             assert prov(t) == prov(d)
+
+
+    def test_height_fault_raises_structure_error(self):
+        # unfold lays out by depth but passes each node's own height on, so
+        # build still sees, and rejects, the heights of a hand-assembled map
+        for nodes, text in (
+            ([mk(1, "a -> a", "I", 0, (2,)), mk(2, "a", "LEAF", 2)],
+             "node 1: child 2 height 2 is not parent height + 1"),
+            ([mk(1, "a -> a", "I", 1, (2,)), mk(2, "a", "LEAF", 2)], "node 1: root height is not 0"),
+        ):
+            with pytest.raises(StructureError) as exc:
+                unfold(Deduction({n.id: n for n in nodes}, 1))
+            assert str(exc.value) == text
 
 
 class TestLevel:

@@ -313,7 +313,7 @@ def _cmd_fst_check(args) -> int:
 def _cmd_bench(args) -> int:
     from .prover import ResourceLimitError, family, prove
     from .transform import compress
-    print("n  weight  tree  leveled  dag  prove_s  compress_s")
+    print("n  weight  tree  leveled  dag  image  prove_s  compress_s")
     for n in range(1, args.family + 1):
         f = family(n)
         t0 = time.perf_counter()
@@ -328,10 +328,10 @@ def _cmd_bench(args) -> int:
         bottom = d.height()
         leveled = len(d.nodes) + sum(bottom - n.height for n in d.nodes.values() if not n.children)
         t2 = time.perf_counter()
-        dag, _ = compress(d)
+        dag, image = compress(d)
         t3 = time.perf_counter()
         print(
-            f"{n}  {weight(f)}  {len(d.nodes)}  {leveled}  {len(dag.nodes)}"
+            f"{n}  {weight(f)}  {len(d.nodes)}  {leveled}  {len(dag.nodes)}  {len(image)}"
             f"  {t1 - t0:.3f}  {t3 - t2:.3f}"
         )
     return OK

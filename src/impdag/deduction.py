@@ -465,7 +465,9 @@ def proves_by_threads(d: Deduction, cap: int = DEFAULT_THREAD_CAP) -> bool | Ove
 
 
 def is_tree_like(d: Deduction) -> bool:
-    """True when every node except the root has exactly one parent."""
+    """True when every node except the root has exactly one parent: n - 1 child ids if built."""
+    if getattr(d, "_report", None) is not None:  # build proved all reachable, no child repeated
+        return sum(map(len, map(attrgetter("children"), d.nodes.values()))) == len(d.nodes) - 1
     # Read off one flat list of child ids: the parent map sorts per node.
     kids = [c for n in d.nodes.values() for c in n.children]
     others = d.nodes.keys() - {d.root}
@@ -624,8 +626,12 @@ def save_deduction(d: Deduction, target: str | IO[str]) -> None:
                 + (f"[\n        {kids}\n      ]\n    }}" if kids else "[]\n    }")
             )
         entries.append(form % (n.id, n.height, *n.children))
-    body = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
-    write_text(f'{{\n  "root": {d.root},\n  "nodes": {body}\n}}\n', target)
+    # One join makes the document: the head goes onto the first entry, the tail onto the last.
+    head = f'{{\n  "root": {d.root},\n  "nodes": '
+    if entries:
+        entries[0] = head + "[\n" + entries[0]
+        entries[-1] += "\n  ]\n}\n"
+    write_text(",\n".join(entries) if entries else head + "[]\n}\n", target)
 
 
 # Every artifact file (deduction, tuple table, choice, threads) is read and

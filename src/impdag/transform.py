@@ -16,13 +16,15 @@ holds the rule-carrying children (a single repetition dispatcher when the
 premise groups do not diverge, so the output stays uniformly leveled).
 Leaves sit on the last merge layer and get no dispatcher. The dag is built
 top down in one pass, each node made once with the breadth-first id
-``canonical`` would give it. The thread image hands each original thread
-to its representative/dispatcher rendering, which is exactly the
-thread-set input the cleansing machinery expects.
+``canonical`` would give it; padding R nodes join their leaf's class. The
+thread image hands each original thread to its representative/dispatcher
+rendering, the thread-set input of cleansing; it is counted, and listed on first read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
+from functools import cache
 from operator import attrgetter
 
 from .deduction import (
@@ -85,17 +87,38 @@ def level(t: Deduction) -> Deduction:
     return lay_out(t.root, expand)
 
 
-class _Image(tuple):
-    """The threads ``compress`` returns, with the dag object they were built
-    for (``dag``)."""
+class _Image(Sequence):
+    """``compress``'s threads and their ``dag``: counted, listed on first read, read as a tuple."""
+
+    def __init__(self, dag: Deduction, count: int, listed: Callable[[], tuple]) -> None:
+        self.dag, self._count, self._listed = dag, count, cache(listed)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        return self._listed()[index]
+
+    def __iter__(self):
+        return iter(self._listed())
+
+    def __eq__(self, other: object) -> bool:
+        return self._listed() == other  # another image answers for itself
+
+    def __hash__(self) -> int:
+        return hash(self._listed())
+
+    def __reduce__(self) -> tuple:
+        return tuple, (self._listed(),)  # a copy or pickle is the plain tuple, without dag
 
 
-def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
+def compress(t: Deduction) -> tuple[Deduction, Sequence[Thread]]:
     """Merge equal-formula nodes per level of a tree.
 
     Short branches are padded as ``level`` pads them, so ``compress(t)``
     equals ``compress(level(t))``, but the padded tree is never built:
-    equal subtrees form one class, worked once per level it is met on.
+    equal subtrees form one class, worked once per level it is met on, and
+    padding R nodes join their leaf's class: ``level(t)`` costs what ``t`` does.
 
     Returns the compressed dag and the image of the padded tree's thread
     set under the merge: each original thread becomes the alternating
@@ -103,7 +126,7 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
     one merge layer have pairwise distinct formulas; a representative
     whose originals disagree on how they were concluded is a separation
     node over one dispatcher per premise group. Without separation nodes,
-    the image is ``threads(dag)``, in the same order.
+    the image is ``threads(dag)``, in order; it is counted, and listed on first read.
 
     The image also keeps the returned dag object, so ``fst`` decides
     ``ThreadSet(image)`` with that very dag by ``prov`` when it has no
@@ -117,13 +140,21 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
     _require_local_correctness(t)
 
     # Hash-cons bottom up, in node order per height: class id -> (formula, rule, child classes).
+    # An R node over its formula's leaf class joins it: the level loop pads a leaf as that R node.
+    LEAF, R, E, S = Rule.LEAF, Rule.R, Rule.E, Rule.S
     class_of: dict[int, int] = {}
     interned: dict[tuple, int] = {}
+    leaf_of: dict[Formula, int] = {}  # formula -> its leaf class
+    leaves = 0  # the image's length: one padded-tree thread per leaf
     for n in sorted(t.nodes.values(), key=attrgetter("height"), reverse=True):
+        if n.rule is R and leaf_of.get(n.formula) == class_of[n.children[0]]:
+            class_of[n.id] = class_of[n.children[0]]
+            continue
         key = (n.formula, n.rule, tuple(map(class_of.__getitem__, n.children)))
-        class_of[n.id] = interned.setdefault(key, len(interned))
+        c = class_of[n.id] = interned.setdefault(key, len(interned))
+        if n.rule is LEAF:
+            leaf_of[n.formula], leaves = c, leaves + 1
     shapes = list(interned)
-    LEAF, R, E, S = Rule.LEAF, Rule.R, Rule.E, Rule.S
     if any(rule is S for _, rule, _ in shapes):
         s = min(n.id for n in t.nodes.values() if n.rule is S)
         raise ValueError(f"compress() expects a separation-free tree; node {s} is an S node")
@@ -175,9 +206,9 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
         met = {k for children, _, _ in level.values() for k in children}
     out = build(nodes, 1)
 
-    # Depth first in stored child order over (class, height) items, which
-    # walks the padded tree as threads() lists it. A unary chain of items is
-    # one step: chain(c, h) gives the image ids from item (c, h) down to the
+    # Listed on first read, depth first in stored child order over the items,
+    # which walks the padded tree as threads() lists it. A unary chain of items
+    # is one step: chain(c, h) gives the image ids from item (c, h) down to the
     # next item that branches or is a leaf, with that item's children and
     # height. path is the image of the thread so far; an item at height h
     # keeps its first 2h entries.
@@ -192,25 +223,23 @@ def compress(t: Deduction) -> tuple[Deduction, tuple[Thread, ...]]:
                 return ids, children, h
             c, h = children[0], h + 1
 
-    chains: dict[tuple[int, int], tuple[list[int], tuple[int, ...], int]] = {}
-    images: list[Thread] = []
-    path: list[int] = []
-    stack = [(root, 0)]
-    while stack:
-        item = stack.pop()
-        got = chains.get(item)
-        if got is None:
-            got = chains[item] = chain(*item)
-        ids, children, h = got
-        del path[2 * item[1] :]
-        path += ids
-        if children:
-            stack.extend((k, h + 1) for k in reversed(children))
-        else:
-            images.append(tuple(path))
-    image = _Image(images)
-    image.dag = out
-    return out, image
+    def listed() -> tuple[Thread, ...]:
+        chains, images, path, stack = {}, [], [], [(root, 0)]
+        while stack:
+            item = stack.pop()
+            got = chains.get(item)
+            if got is None:
+                got = chains[item] = chain(*item)
+            ids, children, h = got
+            del path[2 * item[1] :]
+            path += ids
+            if children:
+                stack.extend((k, h + 1) for k in reversed(children))
+            else:
+                images.append(tuple(path))
+        return tuple(images)
+
+    return out, _Image(out, leaves, listed)
 
 
 def s_eliminate(d: Deduction, choice: dict[tuple[int, int], int]) -> Deduction:

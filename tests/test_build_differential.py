@@ -104,7 +104,9 @@ def outcome(make, nodes, root):
         return ("raised", exc.violations, str(exc))
 
 
-def test_build_matches_the_four_walk_version():
+def node_lists():
+    """The (node list, root) inputs: each dag's nodes as stored, shuffled
+    under a random root, and shuffled with one node repeated."""
     rng = random.Random(6)
     dags = [*FAULTY, *ELIMINATIONS]
     for d in valid_dags(random.Random(7)):
@@ -116,21 +118,23 @@ def test_build_matches_the_four_walk_version():
             except ValueError:
                 pass  # no row the strategy applies to
     dags += COUNTED
-    kinds = Counter()
     for d in dags:
         nodes = list(d.nodes.values())
         shuffled = rng.sample(nodes, len(nodes))
-        for order, root in (
-            (nodes, d.root),
-            (shuffled, rng.choice(nodes).id),
-            (shuffled + [rng.choice(nodes)], d.root),
-        ):
-            want = outcome(reference_build, order, root)
-            assert outcome(build, order, root) == want
-            if isinstance(want, tuple):
-                kinds.update(k for _, msg in want[1] for k in KINDS if k in msg)
-            else:
-                kinds["built"] += 1
+        yield nodes, d.root
+        yield shuffled, rng.choice(nodes).id
+        yield shuffled + [rng.choice(nodes)], d.root
+
+
+def test_build_matches_the_four_walk_version():
+    kinds = Counter()
+    for order, root in node_lists():
+        want = outcome(reference_build, order, root)
+        assert outcome(build, order, root) == want
+        if isinstance(want, tuple):
+            kinds.update(k for _, msg in want[1] for k in KINDS if k in msg)
+        else:
+            kinds["built"] += 1
     assert kinds.keys() == {"built", *KINDS}, kinds
     # node lists given as generators, without and with a duplicate id
     for d in COUNTED:

@@ -293,6 +293,17 @@ class TestCompressUnfold:
             assert len(load_threads(str(threads_out)).threads) == threads
             assert note in err
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_compress_note_counts_the_family_image(self, n, tmp_path, capsys):
+        tree = prove(family(n))
+        code, _, err = run(["compress", dag_file(tmp_path, tree)], capsys)
+        assert code == 0
+        dag_nodes, threads = 19 * n * n - 2 * n + 3, (4 ** (n + 1) - 1) // 3
+        assert (
+            f"{len(tree.nodes)} tree node(s) compressed to {dag_nodes};"
+            f" image keeps {threads} thread(s)"
+        ) in err
+
     def test_compress_levels_automatically(self, tmp_path, capsys):
         ragged = build(
             [
@@ -541,6 +552,14 @@ class TestBench:
             tree = prove(family(n))
             assert row[:4] == [str(n), str(weight(family(n))), str(len(tree.nodes)),
                                str(len(level(tree).nodes))]
+
+    def test_image_column_counts_the_threads(self, capsys):
+        code, out, _ = run(["bench", "--family", "3"], capsys)
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0].split()[4:6] == ["dag", "image"]
+        for n, line in enumerate(lines[1:], 1):
+            assert line.split()[4:6] == [str(19 * n * n - 2 * n + 3), str((4 ** (n + 1) - 1) // 3)]
 
     def test_max_is_no_option(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,8 +2,9 @@
 the per-node body it replaced, which needed a leveled tree. Both ``compress(t)``
 and ``compress(level(t))`` must give the reference's dag and thread image for
 ``level(t)``, on the prover's corpus and family trees, on seeded trees closed
-by an introduction chain, and on unfolded dags with separation nodes, whole
-and with subtrees cut off; a tree that keeps a separation node must be
+by an introduction chain, on those trees with repetition chains inserted
+above leaves, and on unfolded dags with separation nodes, whole and with
+subtrees cut off; a tree that keeps a separation node must be
 refused with ValueError, as merging its branches breaks clause 2d. Where the dag has no separation node, the image
 must be its ``threads``, in order. The sizes of the compressed family
 proofs are pinned to their closed forms."""
@@ -156,6 +157,48 @@ def pruned(tree, rng):
     return build(nodes, tree.root)
 
 
+def with_repetitions(tree, rng):
+    """``tree`` with a chain of one to three R nodes inserted above each of up
+    to three random leaves, and the ids of the inserted nodes."""
+    leaves = sorted(n.id for n in tree.nodes.values() if n.rule is Rule.LEAF)
+    chains = {i: rng.randint(1, 3) for i in rng.sample(leaves, min(3, len(leaves)))}
+    nodes, inserted, fresh = [], [], max(tree.nodes) + 1
+    stack = [(tree.root, 0)]
+    while stack:
+        node_id, height = stack.pop()
+        n = tree.node(node_id)
+        kids = []
+        for c in n.children:
+            k, below = chains.get(c, 0), c
+            for depth in range(height + k, height, -1):  # the chain's bottom first
+                nodes.append(Node(fresh, tree.node(c).formula, Rule.R, depth, (below,)))
+                inserted.append(fresh)
+                below, fresh = fresh, fresh + 1
+            kids.append(below)
+            stack.append((c, height + k + 1))
+        nodes.append(Node(n.id, n.formula, n.rule, height, tuple(kids)))
+    return build(nodes, tree.root), inserted
+
+
+def placements(t, inserted):
+    """Where the inserted R nodes of ``t`` sit, by the names of the cases the
+    padding collapse must get right."""
+    bottom, root = t.height(), t.node(t.root)
+    bare = {(n.formula, n.height) for n in t.nodes.values() if n.rule is Rule.LEAF}
+    found = set()
+    for i in inserted:
+        n = t.node(i)
+        if t.node(n.children[0]).rule is Rule.LEAF:
+            found.add("above the bottom" if n.height == bottom - 1 else "mid-tree")
+        if (n.formula, n.height) in bare:
+            found.add("beside a bare leaf")
+        if i in root.children:
+            found.add("the root's child")
+        if any(t.node(p).rule is Rule.E for p in t.parents[i]):
+            found.add("an E premise")
+    return found
+
+
 def has_s(d):
     return any(n.rule is Rule.S for n in d.nodes.values())
 
@@ -182,7 +225,7 @@ def test_prover_trees_match_the_reference():
 
 
 def test_family_sizes_follow_their_closed_forms():
-    for n in range(1, 8):
+    for n in range(1, 9):
         dag, image = compress(prove(family(n)))
         assert len(dag.nodes) == 19 * n * n - 2 * n + 3
         assert len(image) == (4 ** (n + 1) - 1) // 3
@@ -193,6 +236,24 @@ def test_closed_random_trees_match_the_reference():
     for seed in range(240):
         check(closed_tree(seed), seen)
     assert seen["unleveled"] and seen["s_out"], seen
+
+
+def test_repetition_chains_above_leaves_match_the_reference():
+    """Genuine R nodes over leaves take the leaf's class when hash-consed,
+    as the padding of a leveled tree does."""
+    seen = {"unleveled": 0, "s_in": 0, "s_out": 0}
+    found = set()
+    for seed in range(240):
+        rng = random.Random(seed)
+        tree = closed_tree(seed)
+        for t in (tree, pruned(tree, rng)):
+            t, inserted = with_repetitions(t, rng)
+            check(t, seen)
+            found |= placements(t, inserted)
+    assert seen["unleveled"] and seen["s_out"], seen
+    assert found == {
+        "mid-tree", "above the bottom", "beside a bare leaf", "the root's child", "an E premise"
+    }, found
 
 
 def test_unfolded_separation_dags_match_the_reference():
